@@ -18,10 +18,11 @@ uninterrupted run (timing is injectable; wall_ms is the only
 nondeterministic field under a real clock).
 
 Evaluator contract: a callable taking (spec) or (spec, candidate_id) and
-returning a float in [0, 1] or an EvalResult. Exceptions discard the
-candidate with a logged reason and the loop continues. An evaluator may
-also expose ``on_iteration_end(iteration, evaluated)`` to observe each
-completed iteration (used for supernet weight write-back).
+returning a float in [0, 1] or an EvalResult. Exceptions and scores outside
+[0, 1] (NaN included) discard the candidate with a logged reason and the
+loop continues. An evaluator may also expose
+``on_iteration_end(iteration, evaluated)`` to observe each completed
+iteration (used for supernet weight write-back).
 """
 
 from __future__ import annotations
@@ -292,9 +293,10 @@ def _takes_candidate_id(evaluator) -> bool:
 def _call_evaluator(evaluator, takes_id: bool, spec: BackboneSpec,
                     candidate_id: int) -> EvalResult:
     out = evaluator(spec, candidate_id) if takes_id else evaluator(spec)
-    if isinstance(out, EvalResult):
-        return out
-    return EvalResult(score=float(out))
+    result = out if isinstance(out, EvalResult) else EvalResult(score=float(out))
+    if not 0.0 <= result.score <= 1.0:  # NaN fails this too
+        raise ValueError(f"score must be in [0, 1], got {result.score}")
+    return result
 
 
 def _timed_eval(evaluator, takes_id, spec, candidate_id, clock):

@@ -1,10 +1,11 @@
 """Token-uniformity diagnostics over final-layer representations.
 
 Deep attention-only stacks tend to collapse token representations toward
-a common direction. Two measures quantify that: the mean pairwise cosine
-similarity across tokens (1.0 = fully collapsed) and the relative norm of
-the residual after removing the best uniform-row fit (0.0 = rank-1 with
-identical rows).
+a common direction, the rank collapse of pure attention shown by Dong et
+al. 2021 ("Attention is not all you need", arXiv:2103.03404). Two
+measures quantify that: the mean pairwise cosine similarity across tokens
+(1.0 = fully collapsed) and the relative norm of the residual after
+removing the best uniform-row fit (0.0 = rank-1 with identical rows).
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def relative_residual_norm(x: np.ndarray) -> float:
 
 
 def uniformity_report(models: Sequence[tuple[str, object]], heldout: np.ndarray,
-                      batch: int = 8, mask_seed: int = 0) -> list[dict]:
+                      batch: int = 8) -> list[dict]:
     """Both metrics per model over a shared heldout batch.
 
     ``models`` is (tag, model) pairs; every model sees the same first

@@ -1,11 +1,18 @@
 """Toy masked-token task: model assembly, pretraining, proxy scoring.
 
 A backbone spec becomes an executable model: token + learned positional
-embeddings, then per layer either an attention block (the dag evaluated
-per head on that head's input projections, concatenated, mixed by W_O,
-with residual + layer norm and a softsign FFN sublayer) or a conv block
-(projection to 2d, GLU, depthwise conv, residual + layer norm), finished
-by a tied-embedding masked-token head.
+embeddings, then per layer either an attention block (each used input
+projected by one stacked H x d x d_h weight into H heads, the dag run once
+over all heads, heads merged into n x d and mixed by W_O, with residual +
+layer norm and a softsign FFN sublayer) or a conv block (projection to 2d,
+GLU, depthwise conv, residual + layer norm), finished by a tied-embedding
+masked-token head.
+
+``param_shapes`` is the one parameter table: it names and shapes every
+model parameter (``layer{i}.att.{q,k,v,p}``, ``layer{i}.conv.kernel``, ...)
+and, called without a spec, every supernet store key. Weights move
+between a model and the supernet as they are, under the same names; only
+a kernel shorter than 65 taps travels as a (transform, slice) pair.
 
 The corpus is synthetic and deterministic: sequences follow a cyclic
 bigram template with probability 0.8 (local structure a small conv can
@@ -23,7 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from opnas.search_space import BackboneSpec, eval_dag
+from opnas.search_space import INPUT_NAMES, KERNEL_MENU, BackboneSpec, eval_dag
 from opnas.tensor import (
     Adam,
     NonFiniteError,
@@ -31,13 +38,14 @@ from opnas.tensor import (
     Tensor,
     add,
     backward,
-    concat,
+    concat,  # unused here: perfbench/spans.py wraps model.concat by name
     depthwise_conv1d,
     embedding,
     glu,
     layer_norm,
     masked_cross_entropy,
     matmul,
+    merge_heads,
     mul_const,
     softsign,
     transpose,
@@ -52,7 +60,10 @@ __all__ = [
     "Corpus",
     "ProxyScore",
     "TrainingDiverged",
+    "MAX_KERNEL",
+    "TRANSFORM_SIZES",
     "Model",
+    "param_shapes",
     "build_model",
     "synth_corpus",
     "bigram_successor",
@@ -75,6 +86,9 @@ MASK_TOKEN_P = 0.8
 RANDOM_TOKEN_P = 0.1
 
 INIT_STD = 0.02
+
+MAX_KERNEL = max(KERNEL_MENU)
+TRANSFORM_SIZES = tuple(k for k in KERNEL_MENU if k != MAX_KERNEL)
 
 
 @dataclass(frozen=True)
@@ -205,7 +219,7 @@ def mask_tokens(seq: np.ndarray, rng: np.random.Generator,
 
 
 class Model:
-    """Executable backbone; parameters keyed by the documented name scheme."""
+    """Executable backbone; parameters named and shaped by ``param_shapes``."""
 
     def __init__(self, spec: BackboneSpec, config: ModelConfig,
                  params: dict[str, Parameter]):
@@ -246,12 +260,8 @@ class Model:
 
     def _attention_block(self, i: int, dag, x: Tensor) -> Tensor:
         p = self.params
-        heads = []
-        for h in range(self.config.n_heads):
-            env = {name: matmul(x, p[f"layer{i}.att.{name}.h{h}"])
-                   for name in dag.inputs}
-            heads.append(eval_dag(dag, env))
-        mixed = matmul(concat(heads), p[f"layer{i}.att.wo"])
+        env = {name: matmul(x, p[f"layer{i}.att.{name}"]) for name in dag.inputs}
+        mixed = matmul(merge_heads(eval_dag(dag, env)), p[f"layer{i}.att.wo"])
         x = layer_norm(add(x, mixed),
                        p[f"layer{i}.ln_att.gain"], p[f"layer{i}.ln_att.bias"])
         hidden = softsign(matmul(x, p[f"layer{i}.ffn.w1"]))
@@ -271,30 +281,42 @@ class Model:
                           p[f"layer{i}.ln_conv.gain"], p[f"layer{i}.ln_conv.bias"])
 
 
-def _needed_params(spec: BackboneSpec, config: ModelConfig,
-                   conv_kernels: Mapping[int, int] | None = None) -> dict[str, tuple]:
-    """Parameter name -> shape for a fresh build (conv layers use one kernel)."""
+def param_shapes(config: ModelConfig,
+                 spec: BackboneSpec | None = None) -> dict[str, tuple]:
+    """Parameter name -> shape, in declared order (also the rng draw order).
+
+    With ``spec``: the parameters a model of that spec trains. Without: the
+    supernet store, where every layer holds both branches at their widest
+    (all four projections; the 65-tap kernel plus one k x k transform per
+    smaller kernel size) and all three layer norms.
+    """
     d = config.d_model
     shapes: dict[str, tuple] = {
         "tok_emb": (config.vocab, d),
         "pos_emb": (config.seq_len, d),
     }
-    for i, layer in enumerate(spec.layers):
-        if layer.kind == "attention":
-            for name in layer.dag.inputs:
-                for h in range(config.n_heads):
-                    shapes[f"layer{i}.att.{name}.h{h}"] = (d, config.d_h)
+    for i in range(config.num_layers):
+        layer = None if spec is None else spec.layers[i]
+        att = layer is None or layer.kind == "attention"
+        conv = layer is None or layer.kind == "conv"
+        if att:
+            for name in INPUT_NAMES if layer is None else layer.dag.inputs:
+                shapes[f"layer{i}.att.{name}"] = (config.n_heads, d, config.d_h)
             shapes[f"layer{i}.att.wo"] = (d, d)
+        if conv:
+            shapes[f"layer{i}.conv.proj"] = (d, 2 * d)
+            kernel = MAX_KERNEL if layer is None else layer.kernel
+            shapes[f"layer{i}.conv.kernel"] = (kernel, d)
+            if layer is None:
+                for k in TRANSFORM_SIZES:
+                    shapes[f"layer{i}.conv.transform.{k}"] = (k, k)
+        if att:
             shapes[f"layer{i}.ffn.w1"] = (d, config.ffn_ratio * d)
             shapes[f"layer{i}.ffn.w2"] = (config.ffn_ratio * d, d)
-            for part in ("ln_att", "ln_ffn"):
-                shapes[f"layer{i}.{part}.gain"] = (d,)
-                shapes[f"layer{i}.{part}.bias"] = (d,)
-        else:
-            shapes[f"layer{i}.conv.proj"] = (d, 2 * d)
-            shapes[f"layer{i}.conv.kernel"] = (layer.kernel, d)
-            shapes[f"layer{i}.ln_conv.gain"] = (d,)
-            shapes[f"layer{i}.ln_conv.bias"] = (d,)
+        norms = (("ln_att", "ln_ffn") if att else ()) + (("ln_conv",) if conv else ())
+        for part in norms:
+            shapes[f"layer{i}.{part}.gain"] = (d,)
+            shapes[f"layer{i}.{part}.bias"] = (d,)
     return shapes
 
 
@@ -306,14 +328,14 @@ def build_model(spec: BackboneSpec, config: ModelConfig,
     With ``params`` (e.g. a supernet extraction) arrays are copied in and
     validated against the spec; a dag input with no matching projection is
     a hard error. Fresh initialization is scaled-normal (std 0.02) with
-    layer-norm gains 1 and biases 0, drawn in documented name order.
+    layer-norm gains 1 and biases 0, drawn in ``param_shapes`` order.
     """
     if len(spec.layers) != config.num_layers:
         raise ValueError(f"spec has {len(spec.layers)} layers, config expects "
                          f"{config.num_layers}")
     built: dict[str, Parameter] = {}
     if params is not None:
-        needed = _needed_params(spec, config)
+        needed = param_shapes(config, spec)
         for name, shape in needed.items():
             if name.endswith(".conv.kernel") and name not in params:
                 # supernet extraction supplies a (transform, slice) pair instead
@@ -338,7 +360,7 @@ def build_model(spec: BackboneSpec, config: ModelConfig,
         return Model(spec, config, built)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    for name, shape in _needed_params(spec, config).items():
+    for name, shape in param_shapes(config, spec).items():
         if name.endswith(".gain"):
             built[name] = Parameter(np.ones(shape), name=name)
         elif name.endswith(".bias"):

@@ -1,14 +1,20 @@
 """Bi-branch weight-sharing store for candidate initialization.
 
 Every layer of the supernet holds the weights of the two maximal layer
-types at once: an attention branch with all four input projections (per
-head) plus the output mix, and a conv branch with the GLU projection, the
-largest (65-tap) kernel, and one learned k x k transformation matrix per
-smaller kernel size, shared across channels. Candidates initialize by
-extraction - attention layers take the projections for the inputs their
-dag uses, conv layers take the center slice of the big kernel mapped
-through the transformation matrix - train briefly, and the best child of
-each search iteration writes its trained weights back.
+types at once: an attention branch with all four input projections (each
+stacked over heads, H x d x d_h) plus the output mix, and a conv branch
+with the GLU projection, the largest (65-tap) kernel, and one learned
+k x k transformation matrix per smaller kernel size, shared across
+channels (the elastic-kernel transforms of Once-for-All, Cai et al. 2020,
+arXiv:1908.09791). Candidates initialize by extraction - attention layers
+take the projections for the inputs their dag uses, conv layers take the
+center slice of the big kernel mapped through the transformation matrix -
+train briefly, and the best child of each search iteration writes its
+trained weights back.
+
+Store keys and shapes are ``opnas.model.param_shapes(config)``, the table
+models are built from, so a model parameter and its store entry share one
+name and one shape and are copied across without reshaping.
 
 Write-back keeps the stored 65-kernel the single source of truth: the
 candidate trains the transform T and the slice S jointly (its effective
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -33,10 +40,13 @@ import numpy as np
 
 from opnas.evolution import EvalResult
 from opnas.model import (
+    MAX_KERNEL,
+    TRANSFORM_SIZES,
     ModelConfig,
     OptimConfig,
     build_model,
     mlm_pretrain,
+    param_shapes,
     proxy_evaluate,
 )
 from opnas.search_space import KERNEL_MENU, BackboneSpec
@@ -58,9 +68,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-MAX_KERNEL = 65
 CENTER_INDEX = (MAX_KERNEL - 1) // 2
-TRANSFORM_SIZES = tuple(k for k in KERNEL_MENU if k != MAX_KERNEL)
 
 INIT_STD = 0.02
 COND_LIMIT = 1e8
@@ -82,8 +90,9 @@ def center_slice(k: int) -> slice:
 class Supernet:
     """Weight store plus per-layer version counters.
 
-    ``store`` maps documented keys to arrays; the declared key order (also
-    the rng draw order at init) is: tok_emb, pos_emb, then per layer i:
+    ``store`` maps the keys of ``param_shapes(config)`` to arrays; their
+    declared order (also the rng draw order at init) is: tok_emb, pos_emb,
+    then per layer i:
     layer{i}.att.{q,k,v,p} (each H x d x d_h), layer{i}.att.wo (d x d),
     layer{i}.conv.proj (d x 2d), layer{i}.conv.kernel (65 x d),
     layer{i}.conv.transform.{k} for k in 3..31 (k x k),
@@ -99,9 +108,11 @@ class Supernet:
         self.rng_state = rng_state or {}
 
     def keys(self) -> list[str]:
-        return _declared_keys(self.config)
+        return list(param_shapes(self.config))
 
     def save(self, path: str | Path) -> None:
+        """Write the checkpoint to exactly ``path``, replacing it atomically."""
+        path = Path(path)
         meta = {
             "version": CHECKPOINT_VERSION,
             "config": self.config.to_json_dict(),
@@ -109,7 +120,11 @@ class Supernet:
             "rng_state": self.rng_state,
             "keys": self.keys(),
         }
-        np.savez(path, __meta__=np.array(json.dumps(meta)), **self.store)
+        # through a handle: given a name, np.savez appends ".npz" to any other suffix
+        tmp = path.with_name(path.name + ".tmp")
+        with open(tmp, "wb") as fh:
+            np.savez(fh, __meta__=np.array(json.dumps(meta)), **self.store)
+        os.replace(tmp, path)
 
     @classmethod
     def load(cls, path: str | Path) -> "Supernet":
@@ -123,64 +138,15 @@ class Supernet:
         return cls(config, store, list(meta["layer_versions"]), meta["rng_state"])
 
 
-def _declared_keys(config: ModelConfig) -> list[str]:
-    keys = ["tok_emb", "pos_emb"]
-    for i in range(config.num_layers):
-        for name in ("q", "k", "v", "p"):
-            keys.append(f"layer{i}.att.{name}")
-        keys.append(f"layer{i}.att.wo")
-        keys.append(f"layer{i}.conv.proj")
-        keys.append(f"layer{i}.conv.kernel")
-        for k in TRANSFORM_SIZES:
-            keys.append(f"layer{i}.conv.transform.{k}")
-        keys.append(f"layer{i}.ffn.w1")
-        keys.append(f"layer{i}.ffn.w2")
-        for part in ("ln_att", "ln_ffn", "ln_conv"):
-            keys.append(f"layer{i}.{part}.gain")
-            keys.append(f"layer{i}.{part}.bias")
-    return keys
-
-
-def _key_shape(key: str, config: ModelConfig) -> tuple[int, ...]:
-    d = config.d_model
-    d_h = config.d_h
-    heads = config.n_heads
-    if key == "tok_emb":
-        return (config.vocab, d)
-    if key == "pos_emb":
-        return (config.seq_len, d)
-    field = key.split(".", 1)[1]
-    if field in ("att.q", "att.k", "att.v", "att.p"):
-        return (heads, d, d_h)
-    if field == "att.wo":
-        return (d, d)
-    if field == "conv.proj":
-        return (d, 2 * d)
-    if field == "conv.kernel":
-        return (MAX_KERNEL, d)
-    if field.startswith("conv.transform."):
-        k = int(field.rsplit(".", 1)[1])
-        return (k, k)
-    if field == "ffn.w1":
-        return (d, config.ffn_ratio * d)
-    if field == "ffn.w2":
-        return (config.ffn_ratio * d, d)
-    if field.endswith(".gain") or field.endswith(".bias"):
-        return (d,)
-    raise KeyError(key)
-
-
 def init_supernet(config: ModelConfig, rng: np.random.Generator | int = 0) -> Supernet:
     """Fresh supernet: scaled-normal weights (std 0.02), identity transforms."""
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     store: dict[str, np.ndarray] = {}
-    for key in _declared_keys(config):
-        shape = _key_shape(key, config)
-        field = key.split(".")[-1]
-        if field == "gain":
+    for key, shape in param_shapes(config).items():
+        if key.endswith(".gain"):
             store[key] = np.ones(shape)
-        elif field == "bias":
+        elif key.endswith(".bias"):
             store[key] = np.zeros(shape)
         elif ".conv.transform." in key:
             store[key] = np.eye(shape[0])
@@ -281,67 +247,35 @@ def write_back_shared(sn: Supernet, weights: Mapping[str, np.ndarray]) -> Supern
 
 
 def init_candidate(sn: Supernet, spec: BackboneSpec) -> dict[str, np.ndarray]:
-    """Model parameter set for ``spec``, named per build_model's convention.
+    """Model parameter set for ``spec``: copies of the store under its keys.
 
     Conv layers with k < 65 get a (transform, slice) pair whose product is
     the effective kernel, so the transform keeps training with the
     candidate and write-back can invert it.
     """
-    config = sn.config
-    if len(spec.layers) != config.num_layers:
+    if len(spec.layers) != sn.config.num_layers:
         raise ValueError(f"spec has {len(spec.layers)} layers, supernet expects "
-                         f"{config.num_layers}")
-    params: dict[str, np.ndarray] = {
-        "tok_emb": sn.store["tok_emb"].copy(),
-        "pos_emb": sn.store["pos_emb"].copy(),
-    }
-    for i, layer in enumerate(spec.layers):
-        if layer.kind == "attention":
-            weights = extract_attention_weights(sn, i, layer.dag.inputs)
-            for name in layer.dag.inputs:
-                for h in range(config.n_heads):
-                    params[f"layer{i}.att.{name}.h{h}"] = weights[name][h].copy()
-            params[f"layer{i}.att.wo"] = weights["wo"]
-            params[f"layer{i}.ffn.w1"] = sn.store[f"layer{i}.ffn.w1"].copy()
-            params[f"layer{i}.ffn.w2"] = sn.store[f"layer{i}.ffn.w2"].copy()
-            for part in ("ln_att", "ln_ffn"):
-                params[f"layer{i}.{part}.gain"] = sn.store[f"layer{i}.{part}.gain"].copy()
-                params[f"layer{i}.{part}.bias"] = sn.store[f"layer{i}.{part}.bias"].copy()
+                         f"{sn.config.num_layers}")
+    params: dict[str, np.ndarray] = {}
+    for name, shape in param_shapes(sn.config, spec).items():
+        if name.endswith(".conv.kernel") and shape[0] != MAX_KERNEL:
+            k = shape[0]
+            stem = name.removesuffix(".kernel")
+            params[f"{stem}.transform"] = sn.store[f"{stem}.transform.{k}"].copy()
+            params[f"{stem}.slice"] = sn.store[name][center_slice(k)].copy()
         else:
-            k = layer.kernel
-            params[f"layer{i}.conv.proj"] = sn.store[f"layer{i}.conv.proj"].copy()
-            if k == MAX_KERNEL:
-                params[f"layer{i}.conv.kernel"] = sn.store[f"layer{i}.conv.kernel"].copy()
-            else:
-                params[f"layer{i}.conv.transform"] = \
-                    sn.store[f"layer{i}.conv.transform.{k}"].copy()
-                params[f"layer{i}.conv.slice"] = \
-                    sn.store[f"layer{i}.conv.kernel"][center_slice(k)].copy()
-            params[f"layer{i}.ln_conv.gain"] = sn.store[f"layer{i}.ln_conv.gain"].copy()
-            params[f"layer{i}.ln_conv.bias"] = sn.store[f"layer{i}.ln_conv.bias"].copy()
+            params[name] = sn.store[name].copy()
     return params
 
 
 def _write_back_candidate(sn: Supernet, spec: BackboneSpec,
                           trained: Mapping[str, np.ndarray]) -> None:
     """Fold one trained candidate into the supernet (branches then glue)."""
-    config = sn.config
-    shared: dict[str, np.ndarray] = {
-        "tok_emb": trained["tok_emb"],
-        "pos_emb": trained["pos_emb"],
-    }
     for i, layer in enumerate(spec.layers):
         if layer.kind == "attention":
-            weights: dict[str, np.ndarray] = {"wo": trained[f"layer{i}.att.wo"]}
-            for name in layer.dag.inputs:
-                weights[name] = np.stack([
-                    trained[f"layer{i}.att.{name}.h{h}"]
-                    for h in range(config.n_heads)
-                ])
+            weights = {name: trained[f"layer{i}.att.{name}"]
+                       for name in (*layer.dag.inputs, "wo")}
             write_back(sn, i, weights, "attention")
-            for part in ("ffn.w1", "ffn.w2", "ln_att.gain", "ln_att.bias",
-                         "ln_ffn.gain", "ln_ffn.bias"):
-                shared[f"layer{i}.{part}"] = trained[f"layer{i}.{part}"]
         else:
             k = layer.kernel
             weights = {"proj": trained[f"layer{i}.conv.proj"]}
@@ -352,9 +286,9 @@ def _write_back_candidate(sn: Supernet, spec: BackboneSpec,
                 weights["transform"] = transform
                 weights["kernel"] = transform @ trained[f"layer{i}.conv.slice"]
             write_back(sn, i, weights, "conv")
-            for part in ("ln_conv.gain", "ln_conv.bias"):
-                shared[f"layer{i}.{part}"] = trained[f"layer{i}.{part}"]
-    write_back_shared(sn, shared)
+    # the glue: every parameter outside the two branches
+    write_back_shared(sn, {name: trained[name] for name in param_shapes(sn.config, spec)
+                           if ".att." not in name and ".conv." not in name})
 
 
 class BiwsEvaluator:

@@ -3,8 +3,10 @@
 Tensors are float64 numpy arrays plus a recorded computation graph. The op
 set is deliberately small: the ten primitives usable inside searched
 attention graphs (six unary, four binary), the layer building blocks
-(linear, depthwise conv, GLU, layer norm, embedding, concat), the masked
-cross-entropy loss, and a handful of helpers the tests need (sum, mul).
+(linear, depthwise conv, GLU, layer norm, embedding, concat, head merge),
+the masked cross-entropy loss, and a handful of helpers the tests need
+(sum, mul). The graph primitives act on the last two axes and carry any
+leading axes along, so one call runs every attention head at once.
 
 Every forward op validates that its output is finite; NaN/Inf on finite
 inputs is a bug in the caller's graph and raises ``NonFiniteError``
@@ -44,6 +46,7 @@ __all__ = [
     "masked_cross_entropy",
     "embedding",
     "concat",
+    "merge_heads",
     "mul",
     "mul_const",
     "tensor_sum",
@@ -212,30 +215,45 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data + b.data, (a, b), lambda g: (g, g), "add")
 
 
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum ``g`` over the leading axes broadcasting added to ``shape``."""
+    extra = g.ndim - len(shape)
+    return g.sum(axis=tuple(range(extra))) if extra else g
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul requires rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    """Product over the last two axes, with equal leading axes.
+
+    A rank-2 operand is instead shared across the other's leading axes
+    (e.g. (n, d) @ (H, d, d_h) -> (H, n, d_h)), and its gradient is summed
+    over them.
+    """
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(f"matmul requires rank >= 2 operands, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
+    if a.shape[:-2] != b.shape[:-2] and a.ndim > 2 and b.ndim > 2:
+        raise ShapeError(f"matmul leading axes differ: {a.shape} x {b.shape}")
 
     def grad_fn(g):
-        return (g @ b.data.T, a.data.T @ g)
+        return (_unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape),
+                _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
 
     return _make(a.data @ b.data, (a, b), grad_fn, "matmul")
 
 
 def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
-    """Row-pairwise cosine similarity: (n x d, n x d) -> n x n.
+    """Row-pairwise cosine similarity: (..., n, d) twice -> (..., n, n).
 
     A zero-norm row yields similarity 0 against everything (and zero
     gradient), so degenerate operands stay usable instead of producing NaN.
     """
-    if a.ndim != 2 or b.ndim != 2 or a.shape != b.shape:
-        raise ShapeError(f"cosine requires two equal rank-2 shapes, got {a.shape} and {b.shape}")
-    na = np.linalg.norm(a.data, axis=1)
-    nb = np.linalg.norm(b.data, axis=1)
-    denom = na[:, None] * nb[None, :]
-    raw = a.data @ b.data.T
+    if a.ndim < 2 or a.shape != b.shape:
+        raise ShapeError(f"cosine requires two equal rank >= 2 shapes, got {a.shape} and {b.shape}")
+    na = np.linalg.norm(a.data, axis=-1)
+    nb = np.linalg.norm(b.data, axis=-1)
+    denom = na[..., :, None] * nb[..., None, :]
+    raw = a.data @ b.data.swapaxes(-1, -2)
     with np.errstate(divide="ignore", invalid="ignore"):
         c = np.where(denom > 0.0, raw / np.where(denom > 0.0, denom, 1.0), 0.0)
     c = np.clip(c, -1.0, 1.0)
@@ -246,8 +264,8 @@ def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
         gc = g * c
         na2 = np.where(na > 0.0, na**2, 1.0)
         nb2 = np.where(nb > 0.0, nb**2, 1.0)
-        da = w @ b.data - (gc.sum(axis=1) / na2)[:, None] * a.data
-        db = w.T @ a.data - (gc.sum(axis=0) / nb2)[:, None] * b.data
+        da = w @ b.data - (gc.sum(axis=-1) / na2)[..., None] * a.data
+        db = w.swapaxes(-1, -2) @ a.data - (gc.sum(axis=-2) / nb2)[..., None] * b.data
         da[na == 0.0] = 0.0
         db[nb == 0.0] = 0.0
         return (da, db)
@@ -256,22 +274,22 @@ def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
 
 
 def euclidean_distance(a: Tensor, b: Tensor) -> Tensor:
-    """Row-pairwise euclidean distance: (n x d, n x d) -> n x n.
+    """Row-pairwise euclidean distance: (..., n, d) twice -> (..., n, n).
 
     Coincident rows give distance 0; the gradient there is taken as 0
     (subgradient choice) so candidate graphs containing d(x, x) terms
     still train.
     """
-    if a.ndim != 2 or b.ndim != 2 or a.shape != b.shape:
-        raise ShapeError(f"euclidean requires two equal rank-2 shapes, got {a.shape} and {b.shape}")
-    diff = a.data[:, None, :] - b.data[None, :, :]
+    if a.ndim < 2 or a.shape != b.shape:
+        raise ShapeError(f"euclidean requires two equal rank >= 2 shapes, got {a.shape} and {b.shape}")
+    diff = a.data[..., :, None, :] - b.data[..., None, :, :]
     e = np.sqrt((diff**2).sum(axis=-1))
 
     def grad_fn(g):
         with np.errstate(divide="ignore", invalid="ignore"):
             d = np.where(e > 0.0, g / np.where(e > 0.0, e, 1.0), 0.0)
-        da = d.sum(axis=1)[:, None] * a.data - d @ b.data
-        db = d.sum(axis=0)[:, None] * b.data - d.T @ a.data
+        da = d.sum(axis=-1)[..., None] * a.data - d @ b.data
+        db = d.sum(axis=-2)[..., None] * b.data - d.swapaxes(-1, -2) @ a.data
         return (da, db)
 
     return _make(e, (a, b), grad_fn, "euclidean")
@@ -473,6 +491,19 @@ def concat(tensors: Sequence[Tensor]) -> Tensor:
         return tuple(outs)
 
     return _make(data, tuple(tensors), grad_fn, "concat")
+
+
+def merge_heads(x: Tensor) -> Tensor:
+    """(H, n, d_h) -> (n, H * d_h); head h fills columns h*d_h .. (h+1)*d_h - 1."""
+    if x.ndim != 3:
+        raise ShapeError(f"merge_heads requires rank-3 input, got shape {x.shape}")
+    heads, n, d_h = x.shape
+    data = x.data.transpose(1, 0, 2).reshape(n, heads * d_h)
+
+    def grad_fn(g):
+        return (g.reshape(n, heads, d_h).transpose(1, 0, 2),)
+
+    return _make(data, (x,), grad_fn, "merge_heads")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

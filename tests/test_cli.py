@@ -104,6 +104,19 @@ def test_search_biws_writes_supernet(tiny_cfg, tmp_path):
     assert any(v > 0 for v in sn.versions)
 
 
+def test_search_biws_keeps_any_checkpoint_suffix(tiny_cfg, tmp_path):
+    ckpt = tmp_path / "sn.ckpt"
+    assert run("search", "--config", tiny_cfg, "--out-dir", tmp_path / "a",
+               "--biws", ckpt) == 0
+    assert not (tmp_path / "sn.ckpt.npz").exists()
+    first = sum(Supernet.load(ckpt).versions)
+    assert first > 0
+    # a second run continues from the saved store instead of a fresh one
+    assert run("search", "--config", tiny_cfg, "--out-dir", tmp_path / "b",
+               "--biws", ckpt) == 0
+    assert sum(Supernet.load(ckpt).versions) > first
+
+
 def test_out_dir_env_fallback(tiny_cfg, tmp_path, monkeypatch):
     env_dir = tmp_path / "from-env"
     monkeypatch.setenv("OPNAS_OUT_DIR", str(env_dir))

@@ -1,6 +1,7 @@
 """Selection arithmetic, history bookkeeping, and loop behavior."""
 
 import json
+import logging
 import math
 import random
 from pathlib import Path
@@ -358,6 +359,27 @@ def test_failing_candidates_are_discarded(tmp_path):
     logged = {r.id for r in records}
     assert all(i % 3 != 1 for i in logged)
     assert set(calls) - logged == {i for i in calls if i % 3 == 1}
+
+
+BAD_SCORES = {2: math.nan, 5: 1.5}
+
+
+def bad_score_fitness(spec, candidate_id):
+    # module level so a process pool can pickle it
+    return BAD_SCORES.get(candidate_id, node_fraction_fitness(spec))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_invalid_scores_are_discarded(jobs, tmp_path, caplog):
+    cfg = tiny_search_config(max_iterations=2, jobs=jobs)
+    with caplog.at_level(logging.WARNING, logger="opnas.evolution"):
+        records = search(cfg, bad_score_fitness, out_dir=tmp_path, clock=ZERO_CLOCK)
+    assert max(r.iteration for r in records) == 2
+    assert not {r.id for r in records} & set(BAD_SCORES)
+    assert read_history(tmp_path / "history.jsonl") == records
+    for cid in BAD_SCORES:
+        assert any(f"candidate {cid} discarded" in m and "[0, 1]" in m
+                   for m in caplog.messages)
 
 
 def test_iteration_end_hook_sees_scored_candidates():

@@ -1,12 +1,13 @@
 """Shared-weight store: slicing, transforms, write-back, evaluator."""
 
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from opnas.evolution import EvalResult
-from opnas.model import ModelConfig, OptimConfig, synth_corpus
+from opnas.model import ModelConfig, OptimConfig, build_model, mlm_pretrain, synth_corpus
 from opnas.search_space import (
     KERNEL_MENU,
     autobert_zero_backbone,
@@ -200,8 +201,8 @@ def test_init_candidate_views_match_store(sn, config):
     params = init_candidate(sn, spec)
     assert np.array_equal(params["tok_emb"], sn.store["tok_emb"])
     # layer 1 runs the softplus-key formula: q and k projections only
-    assert "layer1.att.q.h0" in params and "layer1.att.v.h0" not in params
-    assert np.array_equal(params["layer1.att.k.h1"], sn.store["layer1.att.k"][1])
+    assert "layer1.att.q" in params and "layer1.att.v" not in params
+    assert np.array_equal(params["layer1.att.k"], sn.store["layer1.att.k"])
     # conv layers with k < 65 carry the transform/slice pair
     assert params["layer0.conv.kernel"].shape == (65, config.d_model)
     small = [key for key in params if ".conv.slice" in key]
@@ -298,3 +299,49 @@ def test_save_load_round_trip(config, tmp_path):
     for key in sn.keys():
         assert np.array_equal(loaded.store[key], sn.store[key])
     assert loaded.rng_state == sn.rng_state
+
+
+def test_save_writes_exactly_the_given_path(config, tmp_path):
+    sn = init_supernet(config, rng=1)
+    path = tmp_path / "sn.ckpt"
+    sn.save(path)
+    sn.versions[0] += 1
+    sn.save(path)  # replaces the file in place
+    assert [p.name for p in tmp_path.iterdir()] == ["sn.ckpt"]
+    loaded = Supernet.load(path)
+    assert loaded.versions == sn.versions
+    assert np.array_equal(loaded.store["layer0.att.q"], sn.store["layer0.att.q"])
+
+
+# ---------------------------------------------------------------------------
+# compatibility with files written under the per-head model layout; see
+# tests/data/README.md
+
+DATA = Path(__file__).parent / "data"
+
+
+def test_per_head_era_checkpoint_equals_fresh_store():
+    old = Supernet.load(DATA / "supernet_v1.npz")
+    new = init_supernet(ModelConfig(num_layers=1, d_model=4, n_heads=2,
+                                    vocab=16, seq_len=8), rng=0)
+    assert old.config == new.config
+    assert list(old.store) == old.keys() == new.keys()
+    for key in new.keys():
+        assert np.array_equal(old.store[key], new.store[key]), key
+    assert old.versions == new.versions
+    assert old.rng_state == new.rng_state
+
+
+def test_supernet_initialized_first_loss_equals_per_head_model():
+    cfg = ModelConfig(num_layers=4, d_model=8, n_heads=2, vocab=16, seq_len=8)
+    corpus = synth_corpus(seed=0, size=32, vocab=16, seq_len=8)
+    sn = init_supernet(cfg, rng=0)
+    with np.load(DATA / "per_head_model.npz") as per_head:
+        for tag, spec in (("hybrid", autobert_zero_backbone(4)),
+                          ("standard", standard_backbone(4))):
+            model = build_model(spec, cfg, params=init_candidate(sn, spec))
+            _, losses = mlm_pretrain(model, corpus, 3,
+                                     OptimConfig(batch_size=4, warmup=2), rng=0)
+            want = per_head[f"{tag}/biws_losses"]
+            assert losses[0] == want[0]
+            assert np.abs(np.array(losses) - want).max() < 1e-12

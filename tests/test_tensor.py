@@ -54,6 +54,17 @@ BINARY_CASES = [
     ("euclidean", T.euclidean_distance, (4, 3), (4, 3)),
 ]
 
+# leading (head) axes: each op also equals a per-head loop over its 2-D form
+HEADS = 3
+
+BATCHED_CASES = [
+    ("matmul shared lhs", T.matmul, (4, 5), (HEADS, 5, 2)),
+    ("matmul shared rhs", T.matmul, (HEADS, 4, 5), (5, 2)),
+    ("matmul per head", T.matmul, (HEADS, 4, 5), (HEADS, 5, 2)),
+    ("cosine per head", T.cosine_similarity, (HEADS, 4, 3), (HEADS, 4, 3)),
+    ("euclidean per head", T.euclidean_distance, (HEADS, 4, 3), (HEADS, 4, 3)),
+]
+
 
 @pytest.mark.parametrize("name,op,shape", UNARY_CASES)
 def test_unary_gradients(name, op, shape, rng):
@@ -62,7 +73,7 @@ def test_unary_gradients(name, op, shape, rng):
         check_grad(lambda ts: op(ts[0]), [x], seed=trial)
 
 
-@pytest.mark.parametrize("name,op,sa,sb", BINARY_CASES)
+@pytest.mark.parametrize("name,op,sa,sb", BINARY_CASES + BATCHED_CASES)
 def test_binary_gradients(name, op, sa, sb, rng):
     for trial in range(5):
         a = rng.normal(size=sa)
@@ -218,6 +229,50 @@ def test_concat_gradients(rng):
     a = rng.normal(size=(3, 2))
     b = rng.normal(size=(3, 4))
     check_grad(lambda ts: T.concat([ts[0], ts[1]]), [a, b])
+
+
+# ---------------------------------------------------------------------------
+# leading (head) axes; BATCHED_CASES also run through test_binary_gradients
+
+
+def _head(x, h):
+    return x if x.ndim == 2 else x[h]
+
+
+@pytest.mark.parametrize("name,op,sa,sb", BATCHED_CASES)
+def test_batched_binary_forward_matches_head_loop(name, op, sa, sb, rng):
+    a = rng.normal(size=sa)
+    b = rng.normal(size=sb)
+    got = op(T.Tensor(a), T.Tensor(b)).data
+    want = np.stack([op(T.Tensor(_head(a, h)), T.Tensor(_head(b, h))).data
+                     for h in range(HEADS)])
+    assert np.array_equal(got, want)
+
+
+def test_batched_cosine_zero_row_is_zero(rng):
+    a = rng.normal(size=(HEADS, 3, 4))
+    a[1, 2] = 0.0
+    ta = T.Tensor(a, requires_grad=True)
+    out = T.cosine_similarity(ta, T.Tensor(rng.normal(size=(HEADS, 3, 4))))
+    assert np.all(out.data[1, 2] == 0.0)
+    T.backward(T.tensor_sum(out))
+    assert np.all(ta.grad[1, 2] == 0.0) and np.isfinite(ta.grad).all()
+
+
+def test_matmul_rejects_mismatched_leading_axes(rng):
+    with pytest.raises(T.ShapeError):
+        T.matmul(T.Tensor(rng.normal(size=(2, 3, 4))),
+                 T.Tensor(rng.normal(size=(3, 4, 5))))
+
+
+def test_merge_heads_matches_concat(rng):
+    x = rng.normal(size=(HEADS, 4, 2))
+    got = T.merge_heads(T.Tensor(x)).data
+    want = T.concat([T.Tensor(x[h]) for h in range(HEADS)]).data
+    assert np.array_equal(got, want)
+    check_grad(lambda ts: T.merge_heads(ts[0]), [x])
+    with pytest.raises(T.ShapeError):
+        T.merge_heads(T.Tensor(rng.normal(size=(4, 2))))
 
 
 def test_softmax_rows_sum_to_one(rng):
