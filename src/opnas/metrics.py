@@ -6,6 +6,8 @@ al. 2021 ("Attention is not all you need", arXiv:2103.03404). Two
 measures quantify that: the mean pairwise cosine similarity across tokens
 (1.0 = fully collapsed) and the relative norm of the residual after
 removing the best uniform-row fit (0.0 = rank-1 with identical rows).
+Both take one (n, d) matrix; ``uniformity_report`` encodes its sequences
+as one (B, n) batch and measures each sequence's matrix.
 """
 
 from __future__ import annotations
@@ -64,21 +66,19 @@ def uniformity_report(models: Sequence[tuple[str, object]], heldout: np.ndarray,
                       batch: int = 8) -> list[dict]:
     """Both metrics per model over a shared heldout batch.
 
-    ``models`` is (tag, model) pairs; every model sees the same first
-    ``batch`` heldout sequences and the metrics are averaged over them.
-    Rows come back as {model, cosine, residual} dicts ready for plotting.
+    ``models`` is (tag, model) pairs; every model encodes the same first
+    ``batch`` heldout sequences in one (B, n) pass, and each metric is
+    taken per sequence and averaged over them. Rows come back as
+    {model, cosine, residual} dicts ready for plotting.
     """
     if len(heldout) == 0:
         raise ValueError("heldout split is empty")
-    seqs = heldout[:batch]
+    seqs = np.asarray(heldout[:batch])
     rows = []
     for tag, model in models:
-        cosines = []
-        residuals = []
-        for seq in seqs:
-            reps = model.encode(np.asarray(seq)).data
-            cosines.append(mean_pairwise_cosine(reps))
-            residuals.append(relative_residual_norm(reps))
+        reps = model.encode(seqs).data
+        cosines = [mean_pairwise_cosine(r) for r in reps]
+        residuals = [relative_residual_norm(r) for r in reps]
         rows.append({
             "model": tag,
             "cosine": float(np.mean(cosines)),

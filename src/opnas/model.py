@@ -6,7 +6,9 @@ projected by one stacked H x d x d_h weight into H heads, the dag run once
 over all heads, heads merged into n x d and mixed by W_O, with residual +
 layer norm and a softsign FFN sublayer) or a conv block (projection to 2d,
 GLU, depthwise conv, residual + layer norm), finished by a tied-embedding
-masked-token head.
+masked-token head. A model runs one sequence, ids (n,), or a batch, ids
+(B, n), through the same ops: every tensor carries the batch as a leading
+axis, so a training step, a proxy chunk or a uniformity pass is one graph.
 
 ``param_shapes`` is the one parameter table: it names and shapes every
 model parameter (``layer{i}.att.{q,k,v,p}``, ``layer{i}.conv.kernel``, ...)
@@ -46,7 +48,8 @@ from opnas.tensor import (
     masked_cross_entropy,
     matmul,
     merge_heads,
-    mul_const,
+    mul_const,  # unused here: perfbench/spans.py wraps model.mul_const by name
+    reshape,
     softsign,
     transpose,
 )
@@ -84,6 +87,10 @@ BIGRAM_FOLLOW_P = 0.8
 MASK_FRACTION = 0.15
 MASK_TOKEN_P = 0.8
 RANDOM_TOKEN_P = 0.1
+
+# held-out sequences per proxy forward: one graph of a training batch's size
+# (34-48 MB at L=12 d=64), where one graph over 64 sequences holds 270-380 MB
+PROXY_CHUNK = 8
 
 INIT_STD = 0.02
 
@@ -235,15 +242,16 @@ class Model:
 
     def _check_ids(self, ids: np.ndarray) -> np.ndarray:
         ids = np.asarray(ids, dtype=np.int64)
-        if ids.shape != (self.config.seq_len,):
-            raise ValueError(f"expected {self.config.seq_len} token ids, "
+        n = self.config.seq_len
+        if ids.ndim not in (1, 2) or ids.shape[-1] != n:
+            raise ValueError(f"expected token ids of shape ({n},) or (B, {n}), "
                              f"got shape {ids.shape}")
         if ids.min() < 0 or ids.max() >= self.config.vocab:
             raise ValueError("token id out of vocab range")
         return ids
 
     def encode(self, ids: np.ndarray) -> Tensor:
-        """Final-layer representations, n x d."""
+        """Final-layer representations: (n, d) for ids (n,), (B, n, d) for (B, n)."""
         ids = self._check_ids(ids)
         p = self.params
         x = add(embedding(p["tok_emb"], ids), p["pos_emb"])
@@ -255,12 +263,14 @@ class Model:
         return x
 
     def forward(self, ids: np.ndarray) -> Tensor:
-        """Masked-token logits, n x V, tied to the token embedding."""
+        """Masked-token logits, (..., n, V), tied to the token embedding."""
         return matmul(self.encode(ids), transpose(self.params["tok_emb"]))
 
     def _attention_block(self, i: int, dag, x: Tensor) -> Tensor:
         p = self.params
-        env = {name: matmul(x, p[f"layer{i}.att.{name}"]) for name in dag.inputs}
+        # (..., 1, n, d) @ (H, d, d_h) -> (..., H, n, d_h): every head at once
+        lifted = reshape(x, x.shape[:-2] + (1,) + x.shape[-2:])
+        env = {name: matmul(lifted, p[f"layer{i}.att.{name}"]) for name in dag.inputs}
         mixed = matmul(merge_heads(eval_dag(dag, env)), p[f"layer{i}.att.wo"])
         x = layer_norm(add(x, mixed),
                        p[f"layer{i}.ln_att.gain"], p[f"layer{i}.ln_att.bias"])
@@ -380,8 +390,10 @@ def mlm_pretrain(model: Model, corpus: Corpus, steps: int,
     """Masked-token pretraining; returns the model and per-step losses.
 
     The recorded loss is the batch loss before that step's update, so
-    losses[0] reflects the initialization. Linear learning-rate warmup
-    over ``optim.warmup`` steps. Non-finite loss raises TrainingDiverged.
+    losses[0] reflects the initialization. Each step draws its batch, masks
+    the sequences one at a time in draw order, and runs them as one (B, n)
+    forward and loss. Linear learning-rate warmup over ``optim.warmup``
+    steps. Non-finite loss raises TrainingDiverged.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -392,14 +404,11 @@ def mlm_pretrain(model: Model, corpus: Corpus, steps: int,
     losses: list[float] = []
     for step in range(steps):
         idx = rng.integers(0, len(corpus.train), size=optim.batch_size)
-        total = None
+        seqs = corpus.train[idx]
+        corrupted, masks = zip(*(mask_tokens(seq, rng, corpus.vocab) for seq in seqs))
         try:
-            for i in idx:
-                seq = corpus.train[i]
-                corrupted, mask = mask_tokens(seq, rng, corpus.vocab)
-                loss_i = masked_cross_entropy(model.forward(corrupted), seq, mask)
-                total = loss_i if total is None else add(total, loss_i)
-            loss = mul_const(total, 1.0 / optim.batch_size)
+            loss = masked_cross_entropy(model.forward(np.stack(corrupted)), seqs,
+                                        np.stack(masks))
         except NonFiniteError as e:
             raise TrainingDiverged(f"step {step}: {e}") from e
         value = float(loss.data)
@@ -414,27 +423,33 @@ def mlm_pretrain(model: Model, corpus: Corpus, steps: int,
     return model, losses
 
 
+def _eval_mask(seq: np.ndarray, mask_seed: int) -> np.ndarray:
+    """The fixed evaluation mask of one sequence, seeded by its content."""
+    rng = np.random.default_rng([mask_seed, *seq])
+    mask = rng.random(len(seq)) < MASK_FRACTION
+    if not mask.any():
+        mask[int(rng.integers(len(seq)))] = True
+    return mask
+
+
 def proxy_evaluate(model: Model, heldout: np.ndarray, mask_seed: int = 0) -> ProxyScore:
     """Masked-token accuracy under a fixed evaluation mask.
 
     Each sequence's mask is seeded by (mask_seed, its token content), so
     the score is independent of batch order and identical across calls.
+    The forward runs over chunks of ``PROXY_CHUNK`` sequences.
     """
+    heldout = np.asarray(heldout)
     if len(heldout) == 0:
         raise ValueError("heldout split is empty")
+    masks = np.stack([_eval_mask(seq, mask_seed) for seq in heldout])
+    corrupted = np.where(masks, MASK_ID, heldout)
     correct = 0
-    total = 0
-    for seq in heldout:
-        rng = np.random.default_rng([mask_seed, *seq])
-        mask = rng.random(len(seq)) < MASK_FRACTION
-        if not mask.any():
-            mask[int(rng.integers(len(seq)))] = True
-        corrupted = np.where(mask, MASK_ID, seq)
-        logits = model.forward(corrupted).data
-        pred = logits.argmax(axis=1)
-        correct += int((pred[mask] == seq[mask]).sum())
-        total += int(mask.sum())
-    value = correct / total
+    for lo in range(0, len(heldout), PROXY_CHUNK):
+        chunk = slice(lo, lo + PROXY_CHUNK)
+        pred = model.forward(corrupted[chunk]).data.argmax(axis=-1)
+        correct += int((pred == heldout[chunk])[masks[chunk]].sum())
+    value = correct / int(masks.sum())
     return ProxyScore(value=value, components={"masked_token_accuracy": value})
 
 

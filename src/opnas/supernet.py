@@ -34,7 +34,7 @@ import json
 import logging
 import os
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -59,7 +59,6 @@ __all__ = [
     "init_supernet",
     "center_slice",
     "extract_conv_kernel",
-    "extract_attention_weights",
     "write_back",
     "write_back_shared",
     "init_candidate",
@@ -169,16 +168,6 @@ def extract_conv_kernel(sn: Supernet, layer: int, k: int) -> np.ndarray:
         return kernel.copy()
     transform = sn.store[f"layer{layer}.conv.transform.{k}"]
     return transform @ kernel[center_slice(k)]
-
-
-def extract_attention_weights(sn: Supernet, layer: int,
-                              used: Sequence[str]) -> dict[str, np.ndarray]:
-    """Projections for the used inputs plus the output mix, as copies."""
-    if not used:
-        raise ValueError("need at least one used input")
-    out = {name: sn.store[f"layer{layer}.att.{name}"].copy() for name in used}
-    out["wo"] = sn.store[f"layer{layer}.att.wo"].copy()
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,13 @@
 Tensors are float64 numpy arrays plus a recorded computation graph. The op
 set is deliberately small: the ten primitives usable inside searched
 attention graphs (six unary, four binary), the layer building blocks
-(linear, depthwise conv, GLU, layer norm, embedding, concat, head merge),
-the masked cross-entropy loss, and a handful of helpers the tests need
-(sum, mul). The graph primitives act on the last two axes and carry any
-leading axes along, so one call runs every attention head at once.
+(linear, depthwise conv, GLU, layer norm, embedding, concat, head merge,
+reshape), the masked cross-entropy loss, and a handful of helpers the tests
+need (sum, mul). Every op but concat acts on the last one or two axes and
+carries leading axes along, so one call runs every sequence of a batch and
+every attention head at once: a (B, H, n, d_h) dag operand is B x H
+independent matrices, layer blocks take (..., n, d), and the loss takes
+(B, n, V) logits.
 
 Every forward op validates that its output is finite; NaN/Inf on finite
 inputs is a bug in the caller's graph and raises ``NonFiniteError``
@@ -47,12 +50,12 @@ __all__ = [
     "embedding",
     "concat",
     "merge_heads",
+    "reshape",
     "mul",
     "mul_const",
     "tensor_sum",
     "backward",
     "Adam",
-    "adam_step",
 ]
 
 LAYER_NORM_EPS = 1e-5
@@ -210,9 +213,17 @@ def softsign(x: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"add requires identical shapes, got {a.shape} and {b.shape}")
-    return _make(a.data + b.data, (a, b), lambda g: (g, g), "add")
+    """Elementwise sum of equal shapes.
+
+    One operand may instead have lower rank and equal the other's trailing
+    shape (e.g. (B, n, d) + (n, d)); it is added to every leading index and
+    its gradient is summed over the leading axes.
+    """
+    lo, hi = sorted((a.shape, b.shape), key=len)
+    if hi[len(hi) - len(lo):] != lo:
+        raise ShapeError(f"add requires equal or trailing shapes, got {a.shape} and {b.shape}")
+    return _make(a.data + b.data, (a, b),
+                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)), "add")
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -222,24 +233,56 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Product over the last two axes, with equal leading axes.
+    """Product over the last two axes; leading axes broadcast as in numpy.
 
-    A rank-2 operand is instead shared across the other's leading axes
-    (e.g. (n, d) @ (H, d, d_h) -> (H, n, d_h)), and its gradient is summed
-    over them.
+    E.g. (B, 1, n, d) @ (H, d, d_h) -> (B, H, n, d_h), or (B, n, d) @ (d, m)
+    with the rank-2 operand shared by every leading index. Leading axes that
+    are neither equal nor 1 raise ``ShapeError``.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul requires rank >= 2 operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
-    if a.shape[:-2] != b.shape[:-2] and a.ndim > 2 and b.ndim > 2:
-        raise ShapeError(f"matmul leading axes differ: {a.shape} x {b.shape}")
+    try:
+        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    except ValueError:
+        raise ShapeError(f"matmul leading axes differ: {a.shape} x {b.shape}") from None
 
     def grad_fn(g):
-        return (_unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape),
-                _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
+        return (_matmul_grad(g, a, b, lhs=True), _matmul_grad(g, b, a, lhs=False))
 
     return _make(a.data @ b.data, (a, b), grad_fn, "matmul")
+
+
+def _matmul_grad(g: np.ndarray, x: Tensor, other: Tensor, lhs: bool) -> np.ndarray:
+    """Gradient of operand ``x`` of a matmul with output gradient ``g``.
+
+    The leading axes along which ``x`` was broadcast are summed. They join
+    the contraction (the columns of ``g`` for the left operand, its rows
+    for the right), so one product sums them and no per-index partial
+    gradients are materialised.
+    """
+    nd = g.ndim
+    xs = (1,) * (nd - x.ndim) + x.shape
+    oshape = (1,) * (nd - other.ndim) + other.shape
+    summed = [i for i in range(nd - 2) if xs[i] == 1 and g.shape[i] != 1]
+    kept = [i for i in range(nd - 2) if i not in summed]
+    s = math.prod(g.shape[i] for i in summed)
+    o = other.data.reshape(oshape)
+    row, col = nd - 2, nd - 1
+    g_lead = [g.shape[i] for i in kept]
+    o_lead = [oshape[i] for i in kept]
+    if lhs:  # g @ other^T
+        gt = g.transpose(kept + [row] + summed + [col]).reshape(
+            g_lead + [g.shape[row], s * g.shape[col]])
+        ot = o.transpose(kept + summed + [col, row]).reshape(
+            o_lead + [s * oshape[col], oshape[row]])
+        return (gt @ ot).reshape(x.shape)
+    # other^T @ g
+    perm = kept + summed + [row, col]
+    gt = g.transpose(perm).reshape(g_lead + [s * g.shape[row], g.shape[col]])
+    ot = o.transpose(perm).reshape(o_lead + [s * oshape[row], oshape[col]])
+    return (ot.swapaxes(-1, -2) @ gt).reshape(x.shape)
 
 
 def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
@@ -282,8 +325,14 @@ def euclidean_distance(a: Tensor, b: Tensor) -> Tensor:
     """
     if a.ndim < 2 or a.shape != b.shape:
         raise ShapeError(f"euclidean requires two equal rank >= 2 shapes, got {a.shape} and {b.shape}")
-    diff = a.data[..., :, None, :] - b.data[..., None, :, :]
-    e = np.sqrt((diff**2).sum(axis=-1))
+    n, d = a.shape[-2:]
+    e = np.empty(a.shape[:-1] + (n,))
+    # one matrix pair at a time: a whole batch's (..., n, n, d) differences
+    # would set the peak memory of a training step
+    for ai, bi, ei in zip(a.data.reshape(-1, n, d), b.data.reshape(-1, n, d),
+                          e.reshape(-1, n, n)):
+        diff = ai[:, None, :] - bi[None, :, :]
+        ei[:] = np.sqrt(np.square(diff, out=diff).sum(axis=-1))
 
     def grad_fn(g):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -338,16 +387,17 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
 
 
 def depthwise_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
-    """Per-channel 1-D convolution with same-length zero padding.
+    """Per-channel 1-D convolution along n of (..., n, d), same-length zero padding.
 
     ``kernel`` is k x d with odd k. Kernel weights are softmax-normalized
     along the k axis per channel (lightweight-conv convention) before the
-    sliding window is applied, so raw kernel values act as logits.
+    sliding window is applied, so raw kernel values act as logits. The
+    kernel gradient sums over every leading index.
     """
-    if x.ndim != 2 or kernel.ndim != 2:
-        raise ShapeError("depthwise_conv1d requires rank-2 x and kernel")
+    if x.ndim < 2 or kernel.ndim != 2:
+        raise ShapeError("depthwise_conv1d requires rank >= 2 x and a rank-2 kernel")
     k, d = kernel.shape
-    n, dx = x.shape
+    n, dx = x.shape[-2:]
     if d != dx:
         raise ShapeError(f"kernel channels {d} != input channels {dx}")
     if k % 2 == 0:
@@ -358,19 +408,19 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
     e = np.exp(shifted)
     kn = e / e.sum(axis=0, keepdims=True)
 
-    xpad = np.zeros((n + k - 1, d))
-    xpad[half : half + n] = x.data
-    y = np.zeros((n, d))
+    xpad = np.zeros(x.shape[:-2] + (n + k - 1, d))
+    xpad[..., half : half + n, :] = x.data
+    y = np.zeros(x.shape)
     for j in range(k):
-        y += kn[j][None, :] * xpad[j : j + n]
+        y += kn[j] * xpad[..., j : j + n, :]
 
     def grad_fn(g):
         dxpad = np.zeros_like(xpad)
         dkn = np.zeros_like(kn)
         for j in range(k):
-            dxpad[j : j + n] += kn[j][None, :] * g
-            dkn[j] = (g * xpad[j : j + n]).sum(axis=0)
-        dx_ = dxpad[half : half + n]
+            dxpad[..., j : j + n, :] += kn[j] * g
+            dkn[j] = (g * xpad[..., j : j + n, :]).reshape(-1, d).sum(axis=0)
+        dx_ = dxpad[..., half : half + n, :]
         # backprop through per-channel softmax of the kernel logits
         inner = (dkn * kn).sum(axis=0, keepdims=True)
         dkernel = kn * (dkn - inner)
@@ -380,27 +430,30 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
 
 
 def glu(x: Tensor) -> Tensor:
-    """Gated linear unit over a channel split: a * sigmoid(b)."""
-    if x.ndim != 2 or x.shape[-1] % 2 != 0:
-        raise ShapeError(f"glu requires rank-2 input with even last axis, got {x.shape}")
+    """Gated linear unit over a split of the last axis: a * sigmoid(b)."""
+    if x.ndim < 2 or x.shape[-1] % 2 != 0:
+        raise ShapeError(f"glu requires rank >= 2 input with even last axis, got {x.shape}")
     m = x.shape[-1] // 2
-    a = x.data[:, :m]
-    b = x.data[:, m:]
+    a = x.data[..., :m]
+    b = x.data[..., m:]
     s = 0.5 * (1.0 + np.tanh(0.5 * b))  # numerically stable sigmoid
     y = a * s
 
     def grad_fn(g):
         da = g * s
         db = g * a * s * (1.0 - s)
-        return (np.concatenate([da, db], axis=1),)
+        return (np.concatenate([da, db], axis=-1),)
 
     return _make(y, (x,), grad_fn, "glu")
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Per-row normalization to zero mean / unit variance, then affine."""
-    if x.ndim != 2 or x.shape[-1] < 2:
-        raise ShapeError(f"layer_norm requires rank-2 input with d >= 2, got {x.shape}")
+    """Per-row normalization of (..., n, d) to zero mean / unit variance, then affine.
+
+    The gain and bias gradients sum over every row.
+    """
+    if x.ndim < 2 or x.shape[-1] < 2:
+        raise ShapeError(f"layer_norm requires rank >= 2 input with d >= 2, got {x.shape}")
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError("gain/bias must be vectors matching the last axis")
@@ -411,8 +464,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     y = xh * gain.data + bias.data
 
     def grad_fn(g):
-        dgain = (g * xh).sum(axis=0)
-        dbias = g.sum(axis=0)
+        dgain = (g * xh).reshape(-1, d).sum(axis=0)
+        dbias = g.reshape(-1, d).sum(axis=0)
         dxh = g * gain.data
         dx = inv * (
             dxh
@@ -425,47 +478,63 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 
 def masked_cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
-    """Mean negative log-softmax probability over masked positions only."""
-    if logits.ndim != 2:
-        raise ShapeError(f"logits must be rank 2, got {logits.shape}")
+    """Negative log-softmax probability of the targets at masked positions.
+
+    ``logits`` is (n, V) for one sequence or (B, n, V) for a batch, with
+    ``targets`` and ``mask`` shaped like its leading axes. The loss is the
+    mean over sequences of each sequence's mean over its own masked
+    positions (not a mean over all masked tokens), so every sequence needs
+    at least one masked position.
+    """
+    if logits.ndim not in (2, 3):
+        raise ShapeError(f"logits must be rank 2 or 3, got {logits.shape}")
     targets = np.asarray(targets, dtype=np.int64)
     mask = np.asarray(mask, dtype=bool)
-    n = logits.shape[0]
-    if targets.shape != (n,) or mask.shape != (n,):
-        raise ShapeError("targets and mask must be vectors matching the first axis")
-    if not mask.any():
-        raise ValueError("masked_cross_entropy requires at least one masked position")
+    if targets.shape != logits.shape[:-1] or mask.shape != logits.shape[:-1]:
+        raise ShapeError("targets and mask must match the leading axes of the logits")
+    data = logits.data.reshape((-1,) + logits.shape[-2:])
+    targets = targets.reshape(data.shape[:2])
+    mask = mask.reshape(data.shape[:2])
+    counts = mask.sum(axis=1)
+    if not counts.all():
+        raise ValueError("masked_cross_entropy requires a masked position in every sequence")
 
-    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    shifted = data - data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     logp = shifted - lse
-    idx = np.arange(n)
-    m = int(mask.sum())
-    loss = -logp[idx[mask], targets[mask]].mean()
+    rows, pos = np.nonzero(mask)
+    picked = logp[rows, pos, targets[rows, pos]]
+    per_seq = [-part.mean() for part in np.split(picked, np.cumsum(counts)[:-1])]
+    # summed in sequence order, then scaled: one separate loss per sequence
+    # averaged the same way would give the same bits
+    loss = sum(per_seq) * (1.0 / len(per_seq))
 
     def grad_fn(g):
-        p = np.exp(logp)
-        d = np.zeros_like(p)
-        d[mask] = p[mask]
-        d[idx[mask], targets[mask]] -= 1.0
-        return (g * d / m,)
+        d = np.zeros_like(logp)
+        d[mask] = np.exp(logp[mask])
+        d[rows, pos, targets[rows, pos]] -= 1.0
+        share = g * (1.0 / len(per_seq))  # each sequence's weight in the mean
+        return ((share * d / counts[:, None, None]).reshape(logits.shape),)
 
     return _make(np.float64(loss), (logits,), grad_fn, "masked_cross_entropy")
 
 
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup into a (V x d) table; gradient scatter-adds per id."""
+    """Row lookup into a (V x d) table: ids (..., n) -> (..., n, d).
+
+    The gradient scatter-adds per id over every leading index.
+    """
     ids = np.asarray(ids, dtype=np.int64)
     if weight.ndim != 2:
         raise ShapeError("embedding weight must be rank 2")
-    if ids.ndim != 1:
-        raise ShapeError("ids must be a vector")
+    if ids.ndim < 1:
+        raise ShapeError("ids must have at least one axis")
     if ids.min(initial=0) < 0 or (ids.size and ids.max() >= weight.shape[0]):
         raise ShapeError("token id out of range")
 
     def grad_fn(g):
         dw = np.zeros_like(weight.data)
-        np.add.at(dw, ids, g)
+        np.add.at(dw, ids.reshape(-1), g.reshape(-1, weight.shape[1]))
         return (dw,)
 
     return _make(weight.data[ids], (weight,), grad_fn, "embedding")
@@ -494,16 +563,25 @@ def concat(tensors: Sequence[Tensor]) -> Tensor:
 
 
 def merge_heads(x: Tensor) -> Tensor:
-    """(H, n, d_h) -> (n, H * d_h); head h fills columns h*d_h .. (h+1)*d_h - 1."""
-    if x.ndim != 3:
-        raise ShapeError(f"merge_heads requires rank-3 input, got shape {x.shape}")
-    heads, n, d_h = x.shape
-    data = x.data.transpose(1, 0, 2).reshape(n, heads * d_h)
+    """(..., H, n, d_h) -> (..., n, H * d_h); head h fills columns h*d_h .. (h+1)*d_h - 1."""
+    if x.ndim < 3:
+        raise ShapeError(f"merge_heads requires rank >= 3 input, got shape {x.shape}")
+    *lead, heads, n, d_h = x.shape
+    data = x.data.swapaxes(-3, -2).reshape(*lead, n, heads * d_h)
 
     def grad_fn(g):
-        return (g.reshape(n, heads, d_h).transpose(1, 0, 2),)
+        return (g.reshape(*lead, n, heads, d_h).swapaxes(-3, -2),)
 
     return _make(data, (x,), grad_fn, "merge_heads")
+
+
+def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """The same values in a new shape of equal size, e.g. (B, n, d) -> (B, 1, n, d)."""
+    try:
+        data = x.data.reshape(shape)
+    except ValueError:
+        raise ShapeError(f"cannot reshape {x.shape} to {shape}") from None
+    return _make(data, (x,), lambda g: (g.reshape(x.shape),), "reshape")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -574,39 +652,12 @@ def backward(loss: Tensor) -> None:
 # optimizer
 
 
-def adam_step(
-    values: list[np.ndarray],
-    grads: list[np.ndarray],
-    state: dict,
-    lr: float,
-    betas: tuple[float, float] = (0.9, 0.999),
-    eps: float = 1e-8,
-) -> dict:
-    """One Adam update, in place on ``values``. Returns the advanced state.
-
-    ``state`` holds first/second moments ("m", "v") and the step count
-    ("t"); pass ``{}`` to start. Deterministic given its inputs.
-    """
-    b1, b2 = betas
-    if not state:
-        state["m"] = [np.zeros_like(v) for v in values]
-        state["v"] = [np.zeros_like(v) for v in values]
-        state["t"] = 0
-    state["t"] += 1
-    t = state["t"]
-    for i, (val, g) in enumerate(zip(values, grads)):
-        if g is None:
-            continue
-        m = state["m"][i] = b1 * state["m"][i] + (1 - b1) * g
-        v = state["v"][i] = b2 * state["v"][i] + (1 - b2) * g**2
-        mhat = m / (1 - b1**t)
-        vhat = v / (1 - b2**t)
-        val -= lr * mhat / (np.sqrt(vhat) + eps)
-    return state
-
-
 class Adam:
-    """Adam with bias correction over a fixed parameter list."""
+    """Adam with bias correction over a fixed parameter list.
+
+    A parameter whose ``grad`` is None steps with a zero gradient: its
+    moments still decay. Deterministic given its inputs.
+    """
 
     def __init__(self, params: Sequence[Parameter], lr: float = 1e-3,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
@@ -614,13 +665,22 @@ class Adam:
         self.lr = lr
         self.betas = betas
         self.eps = eps
-        self.state: dict = {}
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.t = 0
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
 
     def step(self) -> None:
-        values = [p.data for p in self.params]
-        grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in self.params]
-        adam_step(values, grads, self.state, self.lr, self.betas, self.eps)
+        """One update, in place on every ``Parameter.data``."""
+        b1, b2 = self.betas
+        self.t += 1
+        for i, p in enumerate(self.params):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            m = self.m[i] = b1 * self.m[i] + (1 - b1) * g
+            v = self.v[i] = b2 * self.v[i] + (1 - b2) * g**2
+            mhat = m / (1 - b1**self.t)
+            vhat = v / (1 - b2**self.t)
+            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)

@@ -150,6 +150,22 @@ def reference_encoder_layer(x, wq, wk, wv, wo, w1, w2,
 
 
 # ---------------------------------------------------------------------------
+# optimizer
+
+
+def adam(value, grads, lr, betas=(0.9, 0.999), eps=1e-8):
+    """Adam with bias correction from zero moments, one step per gradient."""
+    b1, b2 = betas
+    m = np.zeros_like(value)
+    v = np.zeros_like(value)
+    for t, g in enumerate(grads, start=1):
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g**2
+        value = value - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
+    return value
+
+
+# ---------------------------------------------------------------------------
 # selection arithmetic
 
 

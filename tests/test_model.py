@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 import oracles
+from opnas import model as M
 from opnas import tensor as T
 from opnas.model import (
     BIGRAM_FOLLOW_P,
     CONTENT_LO,
     MASK_FRACTION,
     MASK_ID,
+    PROXY_CHUNK,
     Corpus,
     MlmEvaluator,
     ModelConfig,
@@ -174,6 +176,27 @@ def test_forward_shapes(tiny_config, tiny_corpus):
     assert hidden.shape == (tiny_config.seq_len, tiny_config.d_model)
 
 
+@pytest.mark.parametrize("backbone", [autobert_zero_backbone, standard_backbone])
+def test_batched_encode_and_forward_equal_stacked_sequences(backbone, tiny_config,
+                                                            tiny_corpus):
+    model = build_model(backbone(tiny_config.num_layers), tiny_config, rng=0)
+    ids = tiny_corpus.heldout[:5]
+    for run in (model.encode, model.forward):
+        got = run(ids).data
+        want = np.stack([run(seq).data for seq in ids])
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12
+
+
+def test_check_ids_rejects_bad_shapes(tiny_config, tiny_corpus):
+    model = build_model(standard_backbone(tiny_config.num_layers), tiny_config, rng=0)
+    ids = tiny_corpus.train[:2]
+    for bad in (ids[None], ids[:, :-1], ids[0, :-1], ids[:0]):
+        for run in (model.encode, model.forward):
+            with pytest.raises(ValueError):
+                run(bad)
+
+
 def test_single_head_encoder_matches_reference(tiny_corpus):
     cfg = ModelConfig(num_layers=1, d_model=16, n_heads=1, vocab=32, seq_len=16)
     spec = standard_backbone(1)
@@ -251,6 +274,60 @@ def test_proxy_score_fixed_masks(tiny_config, tiny_corpus):
     assert a.value == b.value
     assert 0.0 <= a.value <= 1.0
     assert "masked_token_accuracy" in a.components
+
+
+def _per_sequence_proxy(model, heldout, mask_seed=0):
+    """The proxy score one sequence at a time, as a plain reference."""
+    correct = total = 0
+    for seq in heldout:
+        rng = np.random.default_rng([mask_seed, *seq])
+        mask = rng.random(len(seq)) < MASK_FRACTION
+        if not mask.any():
+            mask[int(rng.integers(len(seq)))] = True
+        pred = model.forward(np.where(mask, MASK_ID, seq)).data.argmax(axis=-1)
+        correct += int((pred[mask] == seq[mask]).sum())
+        total += int(mask.sum())
+    return correct / total
+
+
+@pytest.fixture(scope="module")
+def trained_hybrid(tiny_config, tiny_corpus):
+    """A model that predicts enough masked tokens for a proxy score to tell chunks apart."""
+    model = build_model(autobert_zero_backbone(tiny_config.num_layers), tiny_config, rng=0)
+    mlm_pretrain(model, tiny_corpus, 300, OptimConfig(lr=1e-2, batch_size=8, warmup=5),
+                 rng=np.random.default_rng(0))
+    return model
+
+
+@pytest.mark.parametrize("count", [PROXY_CHUNK, 2 * PROXY_CHUNK + 3, 5])
+def test_proxy_evaluate_equals_per_sequence_reference(count, trained_hybrid, tiny_corpus):
+    heldout = tiny_corpus.heldout[:count]
+    want = _per_sequence_proxy(trained_hybrid, heldout, mask_seed=3)
+    assert want > 0.2
+    assert proxy_evaluate(trained_hybrid, heldout, mask_seed=3).value == want
+
+
+def test_mlm_pretrain_masks_each_drawn_sequence_in_draw_order(tiny_config, tiny_corpus,
+                                                              monkeypatch):
+    seen = []
+
+    def recording_mask_tokens(seq, rng, vocab):
+        seen.append(seq.copy())
+        return mask_tokens(seq, rng, vocab)
+
+    monkeypatch.setattr(M, "mask_tokens", recording_mask_tokens)
+    model = build_model(standard_backbone(tiny_config.num_layers), tiny_config, rng=0)
+    optim = OptimConfig(batch_size=3, warmup=2)
+    mlm_pretrain(model, tiny_corpus, 4, optim, rng=np.random.default_rng(7))
+    # replay the stream: each step draws its indices, then masks each sequence
+    rng = np.random.default_rng(7)
+    want = []
+    for _ in range(4):
+        for i in rng.integers(0, len(tiny_corpus.train), size=optim.batch_size):
+            want.append(tiny_corpus.train[i])
+            mask_tokens(tiny_corpus.train[i], rng, tiny_corpus.vocab)
+    assert len(seen) == len(want) == 4 * optim.batch_size
+    assert all(np.array_equal(a, b) for a, b in zip(seen, want))
 
 
 def test_untrained_accuracy_near_chance(tiny_config, tiny_corpus):

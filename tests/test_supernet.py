@@ -9,7 +9,12 @@ import pytest
 from opnas.evolution import EvalResult
 from opnas.model import ModelConfig, OptimConfig, build_model, mlm_pretrain, synth_corpus
 from opnas.search_space import (
+    INPUT_NAMES,
     KERNEL_MENU,
+    AttentionDag,
+    BackboneSpec,
+    DagNode,
+    LayerSpec,
     autobert_zero_backbone,
     softplus_key_attention_dag,
     standard_backbone,
@@ -21,7 +26,6 @@ from opnas.supernet import (
     BiwsEvaluator,
     Supernet,
     center_slice,
-    extract_attention_weights,
     extract_conv_kernel,
     init_candidate,
     init_supernet,
@@ -158,14 +162,21 @@ def test_singular_transform_falls_back_to_pinv(sn, caplog):
     assert np.isfinite(sn.store["layer3.conv.kernel"]).all()
 
 
-def test_attention_round_trip(sn, rng):
-    w = extract_attention_weights(sn, 1, ("q", "k", "v", "p"))
+def test_attention_round_trip(sn, config, rng):
+    # layer 1 reads all four projections
+    every_input = AttentionDag(inputs=INPUT_NAMES, nodes=(
+        DagNode("add", ("q", "k")), DagNode("add", (0, "v")), DagNode("add", (1, "p"))))
+    layers = list(standard_backbone(config.num_layers).layers)
+    layers[1] = LayerSpec.attention(every_input)
+    spec = BackboneSpec(tuple(layers))
+    w = {key.removeprefix("layer1.att."): value
+         for key, value in init_candidate(sn, spec).items() if key.startswith("layer1.att.")}
     assert set(w) == {"q", "k", "v", "p", "wo"}
     w["v"] = w["v"] + rng.normal(size=w["v"].shape)
     write_back(sn, 1, w, kind="attention")
-    back = extract_attention_weights(sn, 1, ("q", "k", "v", "p"))
+    back = init_candidate(sn, spec)
     for name in w:
-        assert np.abs(back[name] - w[name]).max() < 1e-7
+        assert np.abs(back[f"layer1.att.{name}"] - w[name]).max() < 1e-7
 
 
 def test_write_back_bumps_version_strictly(sn):

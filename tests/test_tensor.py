@@ -275,6 +275,143 @@ def test_merge_heads_matches_concat(rng):
         T.merge_heads(T.Tensor(rng.normal(size=(4, 2))))
 
 
+# ---------------------------------------------------------------------------
+# leading (sequence) axes: each batched op equals a loop over its 2-D form,
+# and its gradients match central differences
+
+BATCH = 2
+N, D = 4, 5
+
+BROADCAST_MATMULS = [
+    ("lifted sequences x stacked heads", (BATCH, 1, N, D), (HEADS, D, 2)),
+    ("sequences x shared weight", (BATCH, N, D), (D, 3)),
+    ("per sequence and head", (BATCH, HEADS, N, 2), (BATCH, HEADS, 2, 3)),
+]
+
+
+@pytest.mark.parametrize("name,sa,sb", BROADCAST_MATMULS)
+def test_broadcast_matmul_matches_matrix_loop(name, sa, sb, rng):
+    a = rng.normal(size=sa)
+    b = rng.normal(size=sb)
+    got = T.matmul(T.Tensor(a), T.Tensor(b)).data
+    lead = np.broadcast_shapes(sa[:-2], sb[:-2])
+    full_a = np.broadcast_to(a, lead + sa[-2:])
+    full_b = np.broadcast_to(b, lead + sb[-2:])
+    assert got.shape == lead + (sa[-2], sb[-1])
+    for idx in np.ndindex(lead):
+        want = T.matmul(T.Tensor(full_a[idx]), T.Tensor(full_b[idx])).data
+        assert np.array_equal(got[idx], want)
+    for trial in range(3):
+        check_grad(lambda ts: T.matmul(ts[0], ts[1]), [a, b], seed=trial)
+
+
+@pytest.mark.parametrize("op", [T.cosine_similarity, T.euclidean_distance])
+def test_rank_four_distances_match_matrix_loop(op, rng):
+    a = rng.normal(size=(BATCH, HEADS, N, 3))
+    b = rng.normal(size=(BATCH, HEADS, N, 3))
+    got = op(T.Tensor(a), T.Tensor(b)).data
+    for i, h in np.ndindex(BATCH, HEADS):
+        assert np.array_equal(got[i, h], op(T.Tensor(a[i, h]), T.Tensor(b[i, h])).data)
+    check_grad(lambda ts: op(ts[0], ts[1]), [a, b])
+
+
+def test_add_trailing_shape_matches_loop(rng):
+    x = rng.normal(size=(BATCH, N, D))
+    pos = rng.normal(size=(N, D))
+    for a, b in ((x, pos), (pos, x)):
+        got = T.add(T.Tensor(a), T.Tensor(b)).data
+        want = np.stack([T.add(T.Tensor(x[i]), T.Tensor(pos)).data for i in range(BATCH)])
+        assert np.array_equal(got, want)
+        check_grad(lambda ts: T.add(ts[0], ts[1]), [a, b])
+    with pytest.raises(T.ShapeError):
+        T.add(T.Tensor(x), T.Tensor(rng.normal(size=(BATCH, D))))
+
+
+def test_merge_heads_rank_four_matches_concat(rng):
+    x = rng.normal(size=(BATCH, HEADS, N, 2))
+    got = T.merge_heads(T.Tensor(x)).data
+    want = np.stack([T.concat([T.Tensor(x[i, h]) for h in range(HEADS)]).data
+                     for i in range(BATCH)])
+    assert np.array_equal(got, want)
+    check_grad(lambda ts: T.merge_heads(ts[0]), [x])
+
+
+def test_reshape_round_trips_values_and_gradient(rng):
+    x = rng.normal(size=(BATCH, N, D))
+    assert np.array_equal(T.reshape(T.Tensor(x), (BATCH, 1, N, D)).data[:, 0], x)
+    check_grad(lambda ts: T.reshape(ts[0], (BATCH, 1, N, D)), [x])
+    with pytest.raises(T.ShapeError):
+        T.reshape(T.Tensor(x), (N, N))
+
+
+def _per_sequence(op, x, *rest):
+    return np.stack([op(T.Tensor(x[i]), *rest).data for i in range(len(x))])
+
+
+def test_batched_depthwise_conv_matches_loop(rng):
+    x = rng.normal(size=(BATCH, N + 2, 3))
+    kern = rng.normal(size=(3, 3))
+    got = T.depthwise_conv1d(T.Tensor(x), T.Tensor(kern)).data
+    assert np.array_equal(got, _per_sequence(T.depthwise_conv1d, x, T.Tensor(kern)))
+    check_grad(lambda ts: T.depthwise_conv1d(ts[0], ts[1]), [x, kern])
+
+
+def test_batched_glu_matches_loop(rng):
+    x = rng.normal(size=(BATCH, N, 6))
+    assert np.array_equal(T.glu(T.Tensor(x)).data, _per_sequence(T.glu, x))
+    check_grad(lambda ts: T.glu(ts[0]), [x])
+
+
+def test_batched_layer_norm_matches_loop(rng):
+    x = rng.normal(size=(BATCH, N, 6))
+    g = rng.normal(size=(6,))
+    b = rng.normal(size=(6,))
+    got = T.layer_norm(T.Tensor(x), T.Tensor(g), T.Tensor(b)).data
+    assert np.array_equal(got, _per_sequence(T.layer_norm, x, T.Tensor(g), T.Tensor(b)))
+    check_grad(lambda ts: T.layer_norm(ts[0], ts[1], ts[2]), [x, g, b])
+
+
+def test_batched_embedding_matches_loop_and_scatters(rng):
+    table = rng.normal(size=(9, 4))
+    ids = np.array([[1, 3, 3, 0], [3, 8, 1, 1]])
+    t = T.Tensor(table, requires_grad=True)
+    out = T.embedding(t, ids)
+    assert np.array_equal(out.data, np.stack([T.embedding(T.Tensor(table), row).data
+                                              for row in ids]))
+    T.backward(T.tensor_sum(out))
+    assert np.array_equal(t.grad[:, 0], np.bincount(ids.ravel(), minlength=9))
+    check_grad(lambda ts: T.embedding(ts[0], ids), [table])
+
+
+def _batch_for_loss(rng, vocab=7):
+    logits = rng.normal(size=(3, N + 1, vocab))
+    targets = rng.integers(0, vocab, size=(3, N + 1))
+    mask = np.array([[1, 0, 1, 1, 0], [0, 0, 0, 1, 0], [1, 1, 1, 1, 1]], dtype=bool)
+    return logits, targets, mask
+
+
+def test_batched_masked_cross_entropy_is_mean_of_sequence_means(rng):
+    logits, targets, mask = _batch_for_loss(rng)
+    got = T.masked_cross_entropy(T.Tensor(logits), targets, mask).item()
+    per_seq = [T.masked_cross_entropy(T.Tensor(logits[i]), targets[i], mask[i]).item()
+               for i in range(3)]
+    # the same bits as summing the sequence losses in order, then scaling
+    assert got == sum(per_seq) * (1.0 / 3)
+    oracle = np.mean([oracles.masked_cross_entropy(logits[i], targets[i], mask[i])
+                      for i in range(3)])
+    assert abs(got - oracle) < 1e-12
+    check_grad(lambda ts: T.masked_cross_entropy(ts[0], targets, mask), [logits])
+
+
+def test_batched_masked_cross_entropy_requires_masked_position_per_sequence(rng):
+    logits, targets, mask = _batch_for_loss(rng)
+    mask[1] = False
+    with pytest.raises(ValueError):
+        T.masked_cross_entropy(T.Tensor(logits), targets, mask)
+    with pytest.raises(T.ShapeError):
+        T.masked_cross_entropy(T.Tensor(logits), targets[:, :-1], mask[:, :-1])
+
+
 def test_softmax_rows_sum_to_one(rng):
     x = rng.normal(size=(5, 7)) * 10
     s = T.softmax(T.Tensor(x)).data
@@ -340,8 +477,5 @@ def test_adam_matches_functional_form():
     p.grad = grad.copy()
     opt.step()
 
-    values = [data.copy()]
-    state = {}
-    for _ in range(2):
-        state = T.adam_step(values, [grad], state, lr=0.01)
-    assert np.allclose(p.data, values[0], atol=1e-12)
+    want = oracles.adam(data, [grad, grad], lr=0.01)
+    assert np.allclose(p.data, want, atol=1e-12)
