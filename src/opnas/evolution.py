@@ -34,6 +34,7 @@ import math
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -484,7 +485,9 @@ def _evaluate_batch(candidates, evaluator, takes_id, jobs, clock):
 
     Failures are logged and dropped. With jobs > 1 the evaluator runs in a
     process pool, so it must be picklable and deterministic given
-    (spec, candidate_id).
+    (spec, candidate_id). A worker that dies breaks the pool: every
+    candidate not finished by then is logged and dropped too, and the next
+    batch gets a new pool.
     """
     out = []
     if jobs <= 1 or len(candidates) <= 1:
@@ -503,7 +506,11 @@ def _evaluate_batch(candidates, evaluator, takes_id, jobs, clock):
                    for c in candidates]
         for cand, fut in zip(candidates, futures):
             t0 = clock()
-            status, result, wall_ms = fut.result()
+            try:
+                status, result, wall_ms = fut.result()
+            except BrokenProcessPool as e:
+                log.warning("candidate %d discarded: worker died: %s", cand.id, e)
+                continue
             if clock is not time.perf_counter:
                 # an injected clock rules the records even in pool mode, so
                 # runs stay reproducible under a constant clock

@@ -17,6 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
+from opnas.model import Model
+
 __all__ = [
     "mean_pairwise_cosine",
     "relative_residual_norm",
@@ -62,21 +64,21 @@ def relative_residual_norm(x: np.ndarray) -> float:
     return float(resid / total)
 
 
-def uniformity_report(models: Sequence[tuple[str, object]], heldout: np.ndarray,
+def uniformity_report(models: Sequence[tuple[str, Model]], heldout: np.ndarray,
                       batch: int = 8) -> list[dict]:
     """Both metrics per model over a shared heldout batch.
 
     ``models`` is (tag, model) pairs; every model encodes the same first
-    ``batch`` heldout sequences in one (B, n) pass, and each metric is
-    taken per sequence and averaged over them. Rows come back as
-    {model, cosine, residual} dicts ready for plotting.
+    ``batch`` heldout sequences in one (B, n) pass without a graph, and
+    each metric is taken per sequence and averaged over them. Rows come
+    back as {model, cosine, residual} dicts ready for plotting.
     """
     if len(heldout) == 0:
         raise ValueError("heldout split is empty")
     seqs = np.asarray(heldout[:batch])
     rows = []
     for tag, model in models:
-        reps = model.encode(seqs).data
+        reps = model.without_grad().encode(seqs).data
         cosines = [mean_pairwise_cosine(r) for r in reps]
         residuals = [relative_residual_norm(r) for r in reps]
         rows.append({

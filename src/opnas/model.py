@@ -88,8 +88,11 @@ MASK_FRACTION = 0.15
 MASK_TOKEN_P = 0.8
 RANDOM_TOKEN_P = 0.1
 
-# held-out sequences per proxy forward: one graph of a training batch's size
-# (34-48 MB at L=12 d=64), where one graph over 64 sequences holds 270-380 MB
+# held-out sequences per proxy forward. Scoring builds no graph, so a chunk
+# holds only its live activations and memory does not bound it. It stays at a
+# training batch's size so scoring runs the shapes training runs, the shapes
+# at which batched logits are checked to equal per-sequence logits bit for
+# bit; the scores are then exactly those of one forward per sequence
 PROXY_CHUNK = 8
 
 INIT_STD = 0.02
@@ -229,7 +232,7 @@ class Model:
     """Executable backbone; parameters named and shaped by ``param_shapes``."""
 
     def __init__(self, spec: BackboneSpec, config: ModelConfig,
-                 params: dict[str, Parameter]):
+                 params: dict[str, Tensor]):
         self.spec = spec
         self.config = config
         self.params = params
@@ -239,6 +242,16 @@ class Model:
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.params.items()}
+
+    def without_grad(self) -> "Model":
+        """This model over plain ``Tensor`` leaves sharing the same arrays.
+
+        No leaf requires grad, so its forward records no graph and frees
+        each intermediate once the next op has used it; the logits are
+        those of ``forward`` bit for bit. Scoring runs through it.
+        """
+        return Model(self.spec, self.config,
+                     {name: Tensor(p.data) for name, p in self.params.items()})
 
     def _check_ids(self, ids: np.ndarray) -> np.ndarray:
         ids = np.asarray(ids, dtype=np.int64)
@@ -437,17 +450,19 @@ def proxy_evaluate(model: Model, heldout: np.ndarray, mask_seed: int = 0) -> Pro
 
     Each sequence's mask is seeded by (mask_seed, its token content), so
     the score is independent of batch order and identical across calls.
-    The forward runs over chunks of ``PROXY_CHUNK`` sequences.
+    The forward runs without a graph over chunks of ``PROXY_CHUNK``
+    sequences.
     """
     heldout = np.asarray(heldout)
     if len(heldout) == 0:
         raise ValueError("heldout split is empty")
     masks = np.stack([_eval_mask(seq, mask_seed) for seq in heldout])
     corrupted = np.where(masks, MASK_ID, heldout)
+    scorer = model.without_grad()
     correct = 0
     for lo in range(0, len(heldout), PROXY_CHUNK):
         chunk = slice(lo, lo + PROXY_CHUNK)
-        pred = model.forward(corrupted[chunk]).data.argmax(axis=-1)
+        pred = scorer.forward(corrupted[chunk]).data.argmax(axis=-1)
         correct += int((pred == heldout[chunk])[masks[chunk]].sum())
     value = correct / int(masks.sum())
     return ProxyScore(value=value, components={"masked_token_accuracy": value})

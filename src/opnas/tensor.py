@@ -13,7 +13,14 @@ independent matrices, layer blocks take (..., n, d), and the loss takes
 
 Every forward op validates that its output is finite; NaN/Inf on finite
 inputs is a bug in the caller's graph and raises ``NonFiniteError``
-immediately instead of propagating garbage.
+immediately instead of propagating garbage. The check sums the output
+first: a finite sum proves every element finite, and only a non-finite sum
+(a NaN or infinite element, or finite elements whose sum overflows) is
+followed by the elementwise test that decides.
+
+A graph is recorded only when some operand requires grad. Over leaves that
+do not (plain ``Tensor``s), an op keeps no parents, so a forward-only pass
+frees each intermediate once the next op has used it.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Tensor",
@@ -140,7 +148,9 @@ class Parameter(Tensor):
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], grad_fn, op: str) -> Tensor:
-    if not np.isfinite(data).all():
+    # a finite sum proves every element finite; only a non-finite sum, which
+    # finite elements can also give by overflowing, needs the elementwise test
+    if not np.isfinite(data.sum()) and not np.isfinite(data).all():
         raise NonFiniteError(f"{op} produced non-finite values")
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
@@ -325,14 +335,16 @@ def euclidean_distance(a: Tensor, b: Tensor) -> Tensor:
     """
     if a.ndim < 2 or a.shape != b.shape:
         raise ShapeError(f"euclidean requires two equal rank >= 2 shapes, got {a.shape} and {b.shape}")
-    n, d = a.shape[-2:]
-    e = np.empty(a.shape[:-1] + (n,))
-    # one matrix pair at a time: a whole batch's (..., n, n, d) differences
-    # would set the peak memory of a training step
-    for ai, bi, ei in zip(a.data.reshape(-1, n, d), b.data.reshape(-1, n, d),
-                          e.reshape(-1, n, n)):
-        diff = ai[:, None, :] - bi[None, :, :]
-        ei[:] = np.sqrt(np.square(diff, out=diff).sum(axis=-1))
+    # squared differences summed one coordinate at a time over (..., n, n)
+    # buffers: no (..., n, n, d) difference array, and each matrix pair's
+    # entries depend on that pair alone, so any batch gives the same bits
+    e = np.zeros(a.shape[:-1] + (a.shape[-2],))
+    diff = np.empty_like(e)
+    for c in range(a.shape[-1]):
+        np.subtract(a.data[..., :, c, None], b.data[..., None, :, c], out=diff)
+        diff *= diff
+        e += diff
+    np.sqrt(e, out=e)
 
     def grad_fn(g):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -410,17 +422,20 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
 
     xpad = np.zeros(x.shape[:-2] + (n + k - 1, d))
     xpad[..., half : half + n, :] = x.data
-    y = np.zeros(x.shape)
-    for j in range(k):
-        y += kn[j] * xpad[..., j : j + n, :]
+    # windows[..., j, :, t] = xpad[..., t + j, :]; the unoptimized einsum adds
+    # the taps in order j = 0 .. k-1, the order of a loop over the taps (an
+    # optimized one may route through BLAS, whose sums depend on the batch)
+    y = np.einsum("...jdn,jd->...nd", sliding_window_view(xpad, n, axis=-2), kn)
 
     def grad_fn(g):
-        dxpad = np.zeros_like(xpad)
-        dkn = np.zeros_like(kn)
-        for j in range(k):
-            dxpad[..., j : j + n, :] += kn[j] * g
-            dkn[j] = (g * xpad[..., j : j + n, :]).reshape(-1, d).sum(axis=0)
-        dx_ = dxpad[..., half : half + n, :]
+        gpad = np.zeros_like(xpad)
+        gpad[..., half : half + n, :] = g
+        # dx[t] = sum_j kn[j] * g[t + half - j]: the same windows, reversed
+        dx_ = np.einsum("...jdn,jd->...nd",
+                        sliding_window_view(gpad, n, axis=-2)[..., ::-1, :, :], kn)
+        flat = xpad.reshape((-1,) + xpad.shape[-2:])
+        dkn = np.einsum("bjdn,bnd->jd", sliding_window_view(flat, n, axis=-2),
+                        g.reshape(-1, n, d))
         # backprop through per-channel softmax of the kernel logits
         inner = (dkn * kn).sum(axis=0, keepdims=True)
         dkernel = kn * (dkn - inner)
@@ -457,11 +472,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError("gain/bias must be vectors matching the last axis")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xh = (x.data - mu) * inv
-    y = xh * gain.data + bias.data
+    xh = x.data - x.data.mean(axis=-1, keepdims=True)
+    y = np.square(xh)
+    inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
+    xh *= inv
+    np.multiply(xh, gain.data, out=y)
+    y += bias.data
 
     def grad_fn(g):
         dgain = (g * xh).reshape(-1, d).sum(axis=0)
@@ -677,10 +693,22 @@ class Adam:
         """One update, in place on every ``Parameter.data``."""
         b1, b2 = self.betas
         self.t += 1
-        for i, p in enumerate(self.params):
+        c1, c2 = 1 - b1**self.t, 1 - b2**self.t
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m = self.m[i] = b1 * self.m[i] + (1 - b1) * g
-            v = self.v[i] = b2 * self.v[i] + (1 - b2) * g**2
-            mhat = m / (1 - b1**self.t)
-            vhat = v / (1 - b2**self.t)
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+            step = (1 - b1) * g
+            m *= b1
+            m += step
+            np.square(g, out=step)
+            step *= 1 - b2
+            v *= b2
+            v += step
+            # data -= lr (m / c1) / (sqrt(v / c2) + eps)
+            np.divide(m, c1, out=step)
+            step *= self.lr
+            denom = v / c2
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step /= denom
+            p.data -= step

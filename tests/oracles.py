@@ -131,6 +131,32 @@ def depthwise_conv(x, kernel):
     return out
 
 
+def depthwise_conv_taps(x, kernel, g):
+    """Depthwise conv of x (..., n, d) as a loop over the kernel taps.
+
+    Returns (y, dx, dkernel): the output and the gradients of sum(g * y).
+    The arithmetic is the library's tap loop, step for step, so a rewrite
+    with the same sums must match it bit for bit.
+    """
+    k, d = kernel.shape
+    n = x.shape[-2]
+    half = (k - 1) // 2
+    e = np.exp(kernel - kernel.max(axis=0, keepdims=True))
+    kn = e / e.sum(axis=0, keepdims=True)
+    xpad = np.zeros(x.shape[:-2] + (n + k - 1, d))
+    xpad[..., half : half + n, :] = x
+    y = np.zeros(x.shape)
+    for j in range(k):
+        y += kn[j] * xpad[..., j : j + n, :]
+    dxpad = np.zeros_like(xpad)
+    dkn = np.zeros_like(kn)
+    for j in range(k):
+        dxpad[..., j : j + n, :] += kn[j] * g
+        dkn[j] = (g * xpad[..., j : j + n, :]).reshape(-1, d).sum(axis=0)
+    inner = (dkn * kn).sum(axis=0, keepdims=True)
+    return y, dxpad[..., half : half + n, :], kn * (dkn - inner)
+
+
 def masked_cross_entropy(logits, targets, mask):
     """Mean negative log-probability of targets at masked positions."""
     logp = logits - logits.max(axis=-1, keepdims=True)
@@ -154,7 +180,11 @@ def reference_encoder_layer(x, wq, wk, wv, wo, w1, w2,
 
 
 def adam(value, grads, lr, betas=(0.9, 0.999), eps=1e-8):
-    """Adam with bias correction from zero moments, one step per gradient."""
+    """Adam with bias correction from zero moments, one step per gradient.
+
+    Each step allocates its results in the textbook order of operations, so
+    an in-place update doing the same operations matches it bit for bit.
+    """
     b1, b2 = betas
     m = np.zeros_like(value)
     v = np.zeros_like(value)

@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+import os
 import random
 from pathlib import Path
 
@@ -380,6 +381,33 @@ def test_invalid_scores_are_discarded(jobs, tmp_path, caplog):
     for cid in BAD_SCORES:
         assert any(f"candidate {cid} discarded" in m and "[0, 1]" in m
                    for m in caplog.messages)
+
+
+DYING_ID = 7  # a child of the first iteration
+
+
+def dying_fitness(spec, candidate_id):
+    # module level so a process pool can pickle it; the worker scoring
+    # DYING_ID exits at once, as if killed
+    if candidate_id == DYING_ID:
+        os._exit(1)
+    return node_fraction_fitness(spec)
+
+
+def test_dead_worker_discards_its_candidates(tmp_path, caplog):
+    cfg = tiny_search_config(max_iterations=2, jobs=2)
+    with caplog.at_level(logging.WARNING, logger="opnas.evolution"):
+        records = search(cfg, dying_fitness, out_dir=tmp_path, clock=ZERO_CLOCK)
+    died = {int(m.split()[1]) for m in caplog.messages
+            if m.startswith("candidate") and "worker died" in m}
+    # the dead worker's candidate, and any other the broken pool left
+    # unfinished, are discarded; later iterations run in a new pool
+    assert DYING_ID in died
+    assert not died & {r.id for r in records}
+    assert max(r.iteration for r in records) == 2
+    assert read_history(tmp_path / "history.jsonl") == records
+    checkpoint = json.loads((tmp_path / "checkpoint.json").read_text())
+    assert checkpoint["iteration"] == 2
 
 
 def test_iteration_end_hook_sees_scored_candidates():

@@ -8,6 +8,7 @@ from opnas.metrics import (
     relative_residual_norm,
     uniformity_report,
 )
+from opnas import model as M
 from opnas.model import ModelConfig, build_model, synth_corpus
 from opnas.search_space import standard_backbone
 
@@ -109,3 +110,19 @@ def test_uniformity_report_averages_sequences(tiny_config, tiny_corpus):
     assert one["cosine"] == pytest.approx(mean_pairwise_cosine(hidden), abs=1e-12)
     assert one["residual"] == pytest.approx(relative_residual_norm(hidden),
                                             abs=1e-12)
+
+
+def test_uniformity_report_records_no_graph(tiny_config, tiny_corpus, monkeypatch):
+    model = build_model(standard_backbone(tiny_config.num_layers), tiny_config, rng=0)
+    reps = []
+    encode = M.Model.encode
+
+    def recording_encode(self, ids):
+        reps.append(encode(self, ids))
+        return reps[-1]
+
+    monkeypatch.setattr(M.Model, "encode", recording_encode)
+    uniformity_report([("m", model)], tiny_corpus.heldout, batch=4)
+    assert len(reps) == 1 and not reps[0].requires_grad
+    assert all(p.grad is None for p in model.parameters())
+    assert np.array_equal(reps[0].data, encode(model, tiny_corpus.heldout[:4]).data)

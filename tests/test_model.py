@@ -307,6 +307,32 @@ def test_proxy_evaluate_equals_per_sequence_reference(count, trained_hybrid, tin
     assert proxy_evaluate(trained_hybrid, heldout, mask_seed=3).value == want
 
 
+def test_scoring_forward_shares_arrays_and_equals_forward(trained_hybrid, tiny_corpus):
+    scorer = trained_hybrid.without_grad()
+    assert all(scorer.params[name].data is p.data
+               for name, p in trained_hybrid.params.items())
+    ids = tiny_corpus.heldout[:PROXY_CHUNK]
+    got = scorer.forward(ids)
+    assert not got.requires_grad and got._parents == ()
+    assert np.array_equal(got.data, trained_hybrid.forward(ids).data)
+
+
+def test_proxy_evaluate_records_no_graph(tiny_config, tiny_corpus, monkeypatch):
+    model = build_model(autobert_zero_backbone(tiny_config.num_layers), tiny_config, rng=0)
+    logits = []
+    forward = M.Model.forward
+
+    def recording_forward(self, ids):
+        logits.append(forward(self, ids))
+        return logits[-1]
+
+    monkeypatch.setattr(M.Model, "forward", recording_forward)
+    proxy_evaluate(model, tiny_corpus.heldout)
+    assert len(logits) == -(-len(tiny_corpus.heldout) // PROXY_CHUNK)
+    assert not any(out.requires_grad for out in logits)
+    assert all(p.grad is None for p in model.parameters())
+
+
 def test_mlm_pretrain_masks_each_drawn_sequence_in_draw_order(tiny_config, tiny_corpus,
                                                               monkeypatch):
     seen = []

@@ -9,6 +9,7 @@ import pytest
 
 import oracles
 from opnas import tensor as T
+from opnas.search_space import KERNEL_MENU
 
 GRAD_TOL = 1e-4
 
@@ -136,6 +137,15 @@ def test_euclidean_forward_matches_double_loop(rng):
     assert np.allclose(got, oracles.euclidean_rows(a, b), atol=1e-12)
 
 
+def test_euclidean_model_shape_matches_double_loop(rng):
+    # d_h = 16: the coordinate sum runs in order, not numpy's pairwise order
+    a = rng.normal(size=(2, 3, 32, 16))
+    b = rng.normal(size=(2, 3, 32, 16))
+    got = T.euclidean_distance(T.Tensor(a), T.Tensor(b)).data
+    for i, h in np.ndindex(2, 3):
+        assert np.abs(got[i, h] - oracles.euclidean_rows(a[i, h], b[i, h])).max() < 1e-12
+
+
 def test_euclidean_coincident_rows_zero_grad(rng):
     a = rng.normal(size=(3, 4))
     b = a.copy()
@@ -163,6 +173,28 @@ def test_depthwise_conv_forward_matches_reference(rng):
     kern = rng.normal(size=(5, 3))
     got = T.depthwise_conv1d(T.Tensor(x), T.Tensor(kern)).data
     assert np.allclose(got, oracles.depthwise_conv(x, kern), atol=1e-12)
+
+
+def _conv_with_grads(x, kern, g):
+    tx = T.Tensor(x, requires_grad=True)
+    tk = T.Tensor(kern, requires_grad=True)
+    y = T.depthwise_conv1d(tx, tk)
+    # d sum(y * g) / dy is exactly g
+    T.backward(T.tensor_sum(T.mul(y, T.Tensor(g))))
+    return y.data, tx.grad, tk.grad
+
+
+@pytest.mark.parametrize("k", KERNEL_MENU)
+@pytest.mark.parametrize("shape", [(8, 3), (3, 8, 3), (4, 32, 16)])
+def test_depthwise_conv_equals_tap_loop_bit_for_bit(k, shape, rng):
+    # n = 8 puts the wider kernels past 2n - 1 taps: every output reads
+    # only some of them, the rest fall on padding
+    x = rng.normal(size=shape)
+    kern = rng.normal(size=(k, shape[-1]))
+    g = rng.normal(size=shape)
+    for got, want in zip(_conv_with_grads(x, kern, g),
+                         oracles.depthwise_conv_taps(x, kern, g)):
+        assert np.array_equal(got, want)
 
 
 def test_depthwise_conv_rejects_even_kernel(rng):
@@ -425,6 +457,17 @@ def test_nonfinite_forward_raises():
         T.add(T.Tensor(big), T.Tensor(big))
 
 
+def test_finite_check_tests_elements_not_their_sum():
+    # finite elements whose sum overflows pass
+    with np.errstate(over="ignore"):
+        out = T.scale(T.Tensor([1.5e308, 1.5e308]))
+    assert np.isfinite(out.data).all()
+    # any NaN or infinite element raises, whatever the sum
+    for bad in ([1.0, np.nan], [np.inf, 1.0], [-np.inf, 2.0], [np.inf, -np.inf]):
+        with np.errstate(invalid="ignore"), pytest.raises(T.NonFiniteError):
+            T.neg(T.Tensor(bad))
+
+
 def test_gradients_accumulate_across_backward_calls(rng):
     x = T.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
     T.backward(T.tensor_sum(T.neg(x)))
@@ -479,3 +522,24 @@ def test_adam_matches_functional_form():
 
     want = oracles.adam(data, [grad, grad], lr=0.01)
     assert np.allclose(p.data, want, atol=1e-12)
+
+
+def test_adam_equals_allocating_update_bit_for_bit():
+    rng = np.random.default_rng(6)
+    # starting near zero, the steps are as large as the values, so a step
+    # that differs in its last bits changes the result
+    start = [1e-6 * rng.normal(size=(4, 3)), 1e-6 * rng.normal(size=(5,))]
+    grads = [[rng.normal(size=a.shape) for _ in range(4)] for a in start]
+    # params[1] has no gradient at steps 1 and 3: a zero gradient, so its
+    # moments decay
+    grads[1][1] = grads[1][3] = None
+    params = [T.Parameter(a.copy(), name=f"p{i}") for i, a in enumerate(start)]
+    opt = T.Adam(params, lr=0.01)
+    for step in range(4):
+        opt.zero_grad()
+        for p, gs in zip(params, grads):
+            p.grad = None if gs[step] is None else gs[step].copy()
+        opt.step()
+    for p, a, gs in zip(params, start, grads):
+        full = [np.zeros_like(a) if g is None else g for g in gs]
+        assert np.array_equal(p.data, oracles.adam(a, full, lr=0.01))
