@@ -7,7 +7,7 @@ config.json. Outputs go to --out-dir (env OPNAS_OUT_DIR, default
 ./opnas-out); input files are never modified.
 
 Exit codes: 0 ok, 2 config error, 3 checkpoint error, 4 spec error,
-5 data error.
+5 data error (also a search whose three batches in a row scored nothing).
 
 Search histories written by this command record wall_ms = 0.0: the run
 artifacts are specified to be byte-identical for a fixed seed, which real
@@ -30,6 +30,7 @@ import numpy as np
 
 from opnas.evolution import (
     CheckpointError,
+    EvaluationFailed,
     SearchConfig,
     random_search,
     read_history,
@@ -252,6 +253,8 @@ def cmd_search(args) -> int:
                        clock=lambda: 0.0)
     except CheckpointError as e:
         raise CliError(EXIT_CHECKPOINT, str(e)) from None
+    except EvaluationFailed as e:
+        raise CliError(EXIT_DATA, str(e)) from None
     if not records:
         raise CliError(EXIT_DATA, "search produced no evaluations")
     best = max(records, key=lambda r: (r.score, -r.id))

@@ -1,15 +1,21 @@
 """Priority-guided evolutionary search over backbone specs, plus baselines.
 
-The loop keeps a population of scored candidates, mutates the top K each
-iteration (inter-layer first, then one intra-layer edit), and biases the
-intra-layer op choice by per-position UCB scores accumulated from every
-evaluation so far: u = mu + alpha * sqrt(2 ln N / N_i), turned into
-sampling probabilities with a softmax. Ops never seen at a position get an
-infinite score so they are explored first.
+One loop serves all three strategies: propose a batch, score it, fold the
+scores into the population and statistics, write the iteration's history
+and checkpoint; stop when the proposal comes back empty. ``search`` mutates
+the top K (inter-layer first, then one intra-layer edit) and draws the
+edit's op by per-position UCB scores over every evaluation so far,
+u = mu + alpha * sqrt(2 ln N / N_i), through a softmax; ops never seen at
+a position score infinity so they are explored first. It stops at
+max_iterations, after ``patience`` iterations without a better best, or
+at max_evaluations. ``vanilla_ea`` draws the op uniformly. ``random_search``
+draws independent specs up to a nominal budget; neither patience nor
+max_iterations stops it. Any strategy proposes random specs while its
+population is empty, and raises ``EvaluationFailed`` once three batches in
+a row score nothing (a streak read from the history, so it survives a
+resume).
 
-``vanilla_ea`` is the same loop with uniform op choice; ``random_search``
-draws independent specs. All three share one history schema: an
-append-only JSONL file with one record per evaluated candidate
+History: an append-only JSONL file with one record per evaluated candidate
 {id, parent_id, spec, score, iteration, wall_ms}, and a JSON checkpoint
 {population, stats, rng state, counters} written after every completed
 iteration. A resumed run replays the interrupted iteration from the
@@ -44,12 +50,15 @@ from opnas.search_space import (
     KERNEL_MENU,
     MAX_PATH_LEN,
     BackboneSpec,
+    DistFn,
     LayerSpec,
     backbone_from_payload,
     backbone_to_payload,
     mutate_inter,
     mutate_intra,
     random_dag,
+    uniform_kernel_distribution,
+    uniform_op_distribution,
 )
 
 __all__ = [
@@ -59,6 +68,7 @@ __all__ = [
     "SearchConfig",
     "UcbStats",
     "CheckpointError",
+    "EvaluationFailed",
     "ucb_score",
     "op_distribution",
     "kernel_distribution",
@@ -77,6 +87,7 @@ log = logging.getLogger(__name__)
 HISTORY_FILE = "history.jsonl"
 CHECKPOINT_FILE = "checkpoint.json"
 CHECKPOINT_VERSION = 1
+FAILED_BATCH_LIMIT = 3  # batches in a row that score nothing end a run
 
 
 @dataclass(frozen=True)
@@ -157,6 +168,10 @@ class SearchConfig:
 
 class CheckpointError(RuntimeError):
     """Checkpoint missing, malformed, or inconsistent with the config."""
+
+
+class EvaluationFailed(RuntimeError):
+    """Every candidate of FAILED_BATCH_LIMIT batches in a row failed evaluation."""
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +283,7 @@ def kernel_distribution(stats: UcbStats, layer: int) -> dict[int, float]:
     counts = stats.kernel_counts.get(layer, {})
     total = sum(counts.values())
     if total == 0:
-        return {k: 1.0 / len(KERNEL_MENU) for k in KERNEL_MENU}
+        return uniform_kernel_distribution(layer)
     return {k: counts.get(k, 0) / total for k in KERNEL_MENU}
 
 
@@ -300,20 +315,14 @@ def _call_evaluator(evaluator, takes_id: bool, spec: BackboneSpec,
     return result
 
 
-def _timed_eval(evaluator, takes_id, spec, candidate_id, clock):
+def _timed_eval(evaluator, takes_id, spec, candidate_id, clock=time.perf_counter):
+    """(EvalResult or error text, wall_ms); also the pool worker's entry point."""
     t0 = clock()
-    result = _call_evaluator(evaluator, takes_id, spec, candidate_id)
-    return result, (clock() - t0) * 1000.0
-
-
-def _pool_eval(evaluator, takes_id, spec, candidate_id):
-    # worker-side entry point; always times with the real clock
     try:
-        result, wall_ms = _timed_eval(evaluator, takes_id, spec,
-                                      candidate_id, time.perf_counter)
-        return ("ok", result, wall_ms)
-    except Exception as e:  # transported back for logging, never raised here
-        return ("error", f"{type(e).__name__}: {e}", 0.0)
+        result = _call_evaluator(evaluator, takes_id, spec, candidate_id)
+    except Exception as e:  # reported for the discard log, never raised
+        return f"{type(e).__name__}: {e}", 0.0
+    return result, (clock() - t0) * 1000.0
 
 
 # ---------------------------------------------------------------------------
@@ -330,19 +339,15 @@ def _random_backbone(rng: random.Random, num_layers: int, max_len: int) -> Backb
     return BackboneSpec(tuple(layers))
 
 
-def _make_child(parent: BackboneSpec, stats: UcbStats, alpha: float,
-                guided: bool, rng: random.Random, max_len: int) -> BackboneSpec:
+def _make_child(parent: BackboneSpec, stats: UcbStats, op_dists: DistFn,
+                rng: random.Random, max_len: int) -> BackboneSpec:
     """Inter-layer mutation followed by one intra-layer edit."""
     spec = mutate_inter(parent, lambda li: kernel_distribution(stats, li), rng, max_len)
     att = [i for i, l in enumerate(spec.layers) if l.kind == "attention"]
     if not att:
         return spec
     li = rng.choice(att)
-    if guided:
-        dists = lambda j: op_distribution(stats, j, alpha)
-    else:
-        dists = lambda j: {op: 1.0 / len(ALL_OPS) for op in ALL_OPS}
-    dag = mutate_intra(spec.layers[li].dag, dists, rng, max_len)
+    dag = mutate_intra(spec.layers[li].dag, op_dists, rng, max_len)
     layers = list(spec.layers)
     layers[li] = LayerSpec.attention(dag)
     return BackboneSpec(tuple(layers))
@@ -489,37 +494,34 @@ def _evaluate_batch(candidates, evaluator, takes_id, jobs, clock):
     candidate not finished by then is logged and dropped too, and the next
     batch gets a new pool.
     """
-    out = []
     if jobs <= 1 or len(candidates) <= 1:
-        for cand in candidates:
-            try:
-                result, wall_ms = _timed_eval(evaluator, takes_id, cand.spec,
-                                              cand.id, clock)
-            except Exception as e:
-                log.warning("candidate %d discarded: %s: %s",
-                            cand.id, type(e).__name__, e)
-                continue
-            out.append((replace(cand, score=result.score), result.payload, wall_ms))
-        return out
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_pool_eval, evaluator, takes_id, c.spec, c.id)
-                   for c in candidates]
-        for cand, fut in zip(candidates, futures):
-            t0 = clock()
-            try:
-                status, result, wall_ms = fut.result()
-            except BrokenProcessPool as e:
-                log.warning("candidate %d discarded: worker died: %s", cand.id, e)
-                continue
-            if clock is not time.perf_counter:
-                # an injected clock rules the records even in pool mode, so
-                # runs stay reproducible under a constant clock
-                wall_ms = (clock() - t0) * 1000.0
-            if status != "ok":
-                log.warning("candidate %d discarded: %s", cand.id, result)
-                continue
-            out.append((replace(cand, score=result.score), result.payload, wall_ms))
-    return out
+        outcomes = [_timed_eval(evaluator, takes_id, c.spec, c.id, clock)
+                    for c in candidates]
+    else:
+        outcomes = []
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            futures = [pool.submit(_timed_eval, evaluator, takes_id, c.spec, c.id)
+                       for c in candidates]
+            for fut in futures:
+                t0 = clock()
+                try:
+                    outcome, wall_ms = fut.result()
+                except BrokenProcessPool as e:
+                    outcome, wall_ms = f"worker died: {e}", 0.0
+                else:
+                    if clock is not time.perf_counter:
+                        # an injected clock rules the records even in pool
+                        # mode, so runs stay reproducible under a constant clock
+                        wall_ms = (clock() - t0) * 1000.0
+                outcomes.append((outcome, wall_ms))
+    evaluated = []
+    for cand, (outcome, wall_ms) in zip(candidates, outcomes):
+        if isinstance(outcome, str):
+            log.warning("candidate %d discarded: %s", cand.id, outcome)
+        else:
+            evaluated.append((replace(cand, score=outcome.score), outcome.payload,
+                              wall_ms))
+    return evaluated
 
 
 def _finish_iteration(state: _RunState, sink: _Sink, evaluator,
@@ -549,57 +551,67 @@ def _finish_iteration(state: _RunState, sink: _Sink, evaluator,
     sink.write_checkpoint(state)
 
 
-def _budget_left(state: _RunState) -> int | None:
-    budget = state.config.max_evaluations
-    if budget is None:
-        return None
-    return max(budget - state.evaluations, 0)
+def _random_batch(state: _RunState, left: int | float) -> list[Candidate]:
+    """min(population_size, left) fresh random specs."""
+    config = state.config
+    batch = [Candidate(id=state.next_id + i,
+                       spec=_random_backbone(state.rng, config.num_layers,
+                                             config.max_path_len))
+             for i in range(min(config.population_size, left))]
+    state.next_id += len(batch)
+    return batch
 
 
-def _evolve(config: SearchConfig, evaluator, guided: bool,
-            out_dir=None, resume: bool = False, clock=None) -> list[EvalRecord]:
+def _children(state: _RunState, op_dists: DistFn) -> list[Candidate]:
+    """Proposal of the evolved strategies: children of the top k.
+
+    The intra-layer edit draws its op from ``op_dists(position)``. While
+    the population is empty (seed or re-seed) the proposal is a random
+    batch. Empty once max_iterations, patience or max_evaluations binds.
+    """
+    config = state.config
+    if state.iteration >= config.max_iterations or (
+            state.iteration >= 0 and state.stale >= config.patience):
+        return []
+    budget = config.max_evaluations
+    left = math.inf if budget is None else budget - state.evaluations
+    if not state.population:
+        return _random_batch(state, left)
+    allowed = min(config.k * config.children_per_parent, left)
+    children = []
+    for parent in _top(state.population, config.k):
+        for _ in range(config.children_per_parent):
+            if len(children) >= allowed:
+                break
+            spec = _make_child(parent.spec, state.stats, op_dists, state.rng,
+                               config.max_path_len)
+            children.append(Candidate(id=state.next_id, spec=spec,
+                                      parent_id=parent.id))
+            state.next_id += 1
+    return children
+
+
+def _failed_streak(state: _RunState) -> int:
+    """Completed iterations since the last one that scored a candidate."""
+    last = state.history[-1].iteration if state.history else -1
+    return state.iteration - last
+
+
+def _run(config: SearchConfig, evaluator, propose, out_dir, resume: bool,
+         clock) -> list[EvalRecord]:
+    """The one search loop; a strategy is its ``propose(state)`` rule."""
     clock = clock or time.perf_counter
     takes_id = _takes_candidate_id(evaluator)
     state = _RunState(config)
     sink = _Sink(out_dir)
     if resume:
         sink.load_for_resume(state)
-    if state.iteration < 0:
-        count = config.population_size
-        left = _budget_left(state)
-        if left is not None:
-            count = min(count, left)
-        seeds = [Candidate(id=state.next_id + i,
-                           spec=_random_backbone(state.rng, config.num_layers,
-                                                 config.max_path_len))
-                 for i in range(count)]
-        state.next_id += count
-        evaluated = _evaluate_batch(seeds, evaluator, takes_id, config.jobs, clock)
-        if not evaluated:
-            raise RuntimeError("every seed candidate failed evaluation")
-        _finish_iteration(state, sink, evaluator, evaluated, iteration=0)
-
-    while state.iteration < config.max_iterations:
-        left = _budget_left(state)
-        if left == 0 or state.stale >= config.patience or not state.population:
-            break
-        parents = _top(state.population, config.k)
-        allowed = config.k * config.children_per_parent
-        if left is not None:
-            allowed = min(allowed, left)
-        children = []
-        for parent in parents:
-            for _ in range(config.children_per_parent):
-                if len(children) >= allowed:
-                    break
-                spec = _make_child(parent.spec, state.stats, config.alpha,
-                                   guided, state.rng, config.max_path_len)
-                children.append(Candidate(id=state.next_id, spec=spec,
-                                          parent_id=parent.id))
-                state.next_id += 1
-        if not children:
-            break
-        evaluated = _evaluate_batch(children, evaluator, takes_id, config.jobs, clock)
+    while batch := propose(state):
+        evaluated = _evaluate_batch(batch, evaluator, takes_id, config.jobs, clock)
+        if not evaluated and _failed_streak(state) + 1 >= FAILED_BATCH_LIMIT:
+            first, last = state.iteration + 2 - FAILED_BATCH_LIMIT, state.iteration + 1
+            raise EvaluationFailed(f"every candidate of {FAILED_BATCH_LIMIT} batches in "
+                                   f"a row failed evaluation (iterations {first}-{last})")
         _finish_iteration(state, sink, evaluator, evaluated,
                           iteration=state.iteration + 1)
     return state.history
@@ -608,50 +620,31 @@ def _evolve(config: SearchConfig, evaluator, guided: bool,
 def search(config: SearchConfig, evaluator, out_dir=None,
            resume: bool = False, clock=None) -> list[EvalRecord]:
     """Operation-priority search: UCB-guided intra-layer mutation."""
-    return _evolve(config, evaluator, guided=True,
-                   out_dir=out_dir, resume=resume, clock=clock)
+    return _run(config, evaluator,
+                lambda state: _children(
+                    state, lambda j: op_distribution(state.stats, j, config.alpha)),
+                out_dir, resume, clock)
 
 
 def vanilla_ea(config: SearchConfig, evaluator, out_dir=None,
                resume: bool = False, clock=None) -> list[EvalRecord]:
     """Same loop as search() but mutation ops are drawn uniformly."""
-    return _evolve(config, evaluator, guided=False,
-                   out_dir=out_dir, resume=resume, clock=clock)
+    return _run(config, evaluator,
+                lambda state: _children(state, uniform_op_distribution),
+                out_dir, resume, clock)
 
 
 def random_search(config: SearchConfig, evaluator, out_dir=None,
                   resume: bool = False, clock=None) -> list[EvalRecord]:
-    """Independent random specs, batched population_size per iteration.
-
-    History length equals the evaluation budget (max_evaluations if set,
-    otherwise the same nominal budget the evolved runs get).
-    """
-    clock = clock or time.perf_counter
-    takes_id = _takes_candidate_id(evaluator)
+    """Independent random specs, batched population_size per iteration, up to
+    max_evaluations or else the most an evolved run could evaluate."""
     budget = config.max_evaluations
     if budget is None:
         budget = (config.population_size
                   + config.max_iterations * config.k * config.children_per_parent)
-    state = _RunState(config)
-    sink = _Sink(out_dir)
-    if resume:
-        sink.load_for_resume(state)
-    iteration = state.iteration
-    empty_batches = 0
-    while state.evaluations < budget:
-        iteration += 1
-        count = min(config.population_size, budget - state.evaluations)
-        batch = [Candidate(id=state.next_id + i,
-                           spec=_random_backbone(state.rng, config.num_layers,
-                                                 config.max_path_len))
-                 for i in range(count)]
-        state.next_id += count
-        evaluated = _evaluate_batch(batch, evaluator, takes_id, config.jobs, clock)
-        empty_batches = 0 if evaluated else empty_batches + 1
-        if empty_batches >= 3:
-            raise RuntimeError("evaluator failed three whole batches in a row")
-        _finish_iteration(state, sink, evaluator, evaluated, iteration=iteration)
-    return state.history
+    return _run(config, evaluator,
+                lambda state: _random_batch(state, budget - state.evaluations),
+                out_dir, resume, clock)
 
 
 def read_history(path: str | Path) -> list[EvalRecord]:

@@ -10,11 +10,12 @@ masked-token head. A model runs one sequence, ids (n,), or a batch, ids
 (B, n), through the same ops: every tensor carries the batch as a leading
 axis, so a training step, a proxy chunk or a uniformity pass is one graph.
 
-``param_shapes`` is the one parameter table: it names and shapes every
-model parameter (``layer{i}.att.{q,k,v,p}``, ``layer{i}.conv.kernel``, ...)
-and, called without a spec, every supernet store key. Weights move
-between a model and the supernet as they are, under the same names; only
-a kernel shorter than 65 taps travels as a (transform, slice) pair.
+``search_space.param_shapes`` is the one parameter table: it names and
+shapes every model parameter (``layer{i}.att.{q,k,v,p}``,
+``layer{i}.conv.kernel``, ...) and, called without a spec, every supernet
+store key. Weights move between a model and the supernet as they are,
+under the same names; only a kernel shorter than 65 taps travels as a
+(transform, slice) pair.
 
 The corpus is synthetic and deterministic: sequences follow a cyclic
 bigram template with probability 0.8 (local structure a small conv can
@@ -32,7 +33,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from opnas.search_space import INPUT_NAMES, KERNEL_MENU, BackboneSpec, eval_dag
+from opnas.search_space import BackboneSpec, eval_dag, param_shapes
 from opnas.tensor import (
     Adam,
     NonFiniteError,
@@ -63,10 +64,7 @@ __all__ = [
     "Corpus",
     "ProxyScore",
     "TrainingDiverged",
-    "MAX_KERNEL",
-    "TRANSFORM_SIZES",
     "Model",
-    "param_shapes",
     "build_model",
     "synth_corpus",
     "bigram_successor",
@@ -96,10 +94,6 @@ RANDOM_TOKEN_P = 0.1
 PROXY_CHUNK = 8
 
 INIT_STD = 0.02
-
-MAX_KERNEL = max(KERNEL_MENU)
-TRANSFORM_SIZES = tuple(k for k in KERNEL_MENU if k != MAX_KERNEL)
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -302,45 +296,6 @@ class Model:
         out = depthwise_conv1d(gated, kernel)
         return layer_norm(add(x, out),
                           p[f"layer{i}.ln_conv.gain"], p[f"layer{i}.ln_conv.bias"])
-
-
-def param_shapes(config: ModelConfig,
-                 spec: BackboneSpec | None = None) -> dict[str, tuple]:
-    """Parameter name -> shape, in declared order (also the rng draw order).
-
-    With ``spec``: the parameters a model of that spec trains. Without: the
-    supernet store, where every layer holds both branches at their widest
-    (all four projections; the 65-tap kernel plus one k x k transform per
-    smaller kernel size) and all three layer norms.
-    """
-    d = config.d_model
-    shapes: dict[str, tuple] = {
-        "tok_emb": (config.vocab, d),
-        "pos_emb": (config.seq_len, d),
-    }
-    for i in range(config.num_layers):
-        layer = None if spec is None else spec.layers[i]
-        att = layer is None or layer.kind == "attention"
-        conv = layer is None or layer.kind == "conv"
-        if att:
-            for name in INPUT_NAMES if layer is None else layer.dag.inputs:
-                shapes[f"layer{i}.att.{name}"] = (config.n_heads, d, config.d_h)
-            shapes[f"layer{i}.att.wo"] = (d, d)
-        if conv:
-            shapes[f"layer{i}.conv.proj"] = (d, 2 * d)
-            kernel = MAX_KERNEL if layer is None else layer.kernel
-            shapes[f"layer{i}.conv.kernel"] = (kernel, d)
-            if layer is None:
-                for k in TRANSFORM_SIZES:
-                    shapes[f"layer{i}.conv.transform.{k}"] = (k, k)
-        if att:
-            shapes[f"layer{i}.ffn.w1"] = (d, config.ffn_ratio * d)
-            shapes[f"layer{i}.ffn.w2"] = (config.ffn_ratio * d, d)
-        norms = (("ln_att", "ln_ffn") if att else ()) + (("ln_conv",) if conv else ())
-        for part in norms:
-            shapes[f"layer{i}.{part}.gain"] = (d,)
-            shapes[f"layer{i}.{part}.bias"] = (d,)
-    return shapes
 
 
 def build_model(spec: BackboneSpec, config: ModelConfig,

@@ -1,4 +1,5 @@
-"""Attention-graph search space: encoding, shapes, generation, mutation.
+"""Attention-graph search space: encoding, shapes, generation, mutation,
+and the parameter table (``param_shapes``) models and the supernet share.
 
 An attention candidate is a small DAG over the projected inputs q, k, v, p
 (each n x d_h) built from ten primitive ops. Legality is decided purely
@@ -16,6 +17,7 @@ separate rng streams stay deterministic.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import math
 import random
@@ -56,6 +58,9 @@ __all__ = [
     "backbone_to_payload",
     "backbone_from_payload",
     "backbone_warnings",
+    "MAX_KERNEL",
+    "TRANSFORM_SIZES",
+    "param_shapes",
     "count_params",
 ]
 
@@ -762,24 +767,58 @@ def backbone_from_payload(payload) -> BackboneSpec:
 # parameter accounting
 
 
-def count_params(spec: BackboneSpec, config, kind: str | None = None) -> int:
-    """Architecture parameters only (projections, output mix, conv kernels).
+MAX_KERNEL = max(KERNEL_MENU)
+TRANSFORM_SIZES = tuple(k for k in KERNEL_MENU if k != MAX_KERNEL)
 
-    Per attention layer: one d x d_h projection per declared input per head
-    plus the d x d output mix. Per conv layer: the d x 2d GLU projection
-    plus the k x d kernel. ``kind`` restricts the sum to one layer type.
-    Embeddings, layer norms and FFNs are identical across candidates and
-    excluded.
+
+def param_shapes(config, spec: BackboneSpec | None = None) -> dict[str, tuple]:
+    """Parameter name -> shape, in declared order (also the rng draw order).
+
+    With ``spec``: the parameters a model of that spec trains. Without: the
+    supernet store, where every layer holds both branches at their widest
+    (all four projections; the 65-tap kernel plus one k x k transform per
+    smaller kernel size) and all three layer norms. ``config``: a ModelConfig.
     """
     d = config.d_model
-    heads = config.n_heads
-    d_h = d // heads
-    total = 0
-    for layer in spec.layers:
-        if kind is not None and layer.kind != kind:
-            continue
-        if layer.kind == "attention":
-            total += len(layer.dag.inputs) * heads * d * d_h + d * d
-        else:
-            total += 2 * d * d + layer.kernel * d
-    return total
+    shapes: dict[str, tuple] = {
+        "tok_emb": (config.vocab, d),
+        "pos_emb": (config.seq_len, d),
+    }
+    for i in range(config.num_layers):
+        layer = None if spec is None else spec.layers[i]
+        att = layer is None or layer.kind == "attention"
+        conv = layer is None or layer.kind == "conv"
+        if att:
+            for name in INPUT_NAMES if layer is None else layer.dag.inputs:
+                shapes[f"layer{i}.att.{name}"] = (config.n_heads, d, config.d_h)
+            shapes[f"layer{i}.att.wo"] = (d, d)
+        if conv:
+            shapes[f"layer{i}.conv.proj"] = (d, 2 * d)
+            kernel = MAX_KERNEL if layer is None else layer.kernel
+            shapes[f"layer{i}.conv.kernel"] = (kernel, d)
+            if layer is None:
+                for k in TRANSFORM_SIZES:
+                    shapes[f"layer{i}.conv.transform.{k}"] = (k, k)
+        if att:
+            shapes[f"layer{i}.ffn.w1"] = (d, config.ffn_ratio * d)
+            shapes[f"layer{i}.ffn.w2"] = (config.ffn_ratio * d, d)
+        norms = (("ln_att", "ln_ffn") if att else ()) + (("ln_conv",) if conv else ())
+        for part in norms:
+            shapes[f"layer{i}.{part}.gain"] = (d,)
+            shapes[f"layer{i}.{part}.bias"] = (d,)
+    return shapes
+
+
+def count_params(spec: BackboneSpec, config, kind: str | None = None) -> int:
+    """Architecture parameters only: the ``.att.`` and ``.conv.`` entries of
+    ``param_shapes`` (projections, output mix, GLU projection, conv kernel).
+
+    ``kind`` restricts the sum to one layer type. Embeddings, layer norms
+    and FFNs are identical across candidates and excluded. ``spec`` may be
+    shorter than ``config.num_layers``: its own layers are counted.
+    """
+    tags = [tag for k, tag in (("attention", ".att."), ("conv", ".conv."))
+            if kind in (None, k)]
+    shapes = param_shapes(dataclasses.replace(config, num_layers=len(spec.layers)), spec)
+    return sum(math.prod(shape) for name, shape in shapes.items()
+               if any(tag in name for tag in tags))

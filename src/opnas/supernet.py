@@ -12,9 +12,9 @@ center slice of the big kernel mapped through the transformation matrix -
 train briefly, and the best child of each search iteration writes its
 trained weights back.
 
-Store keys and shapes are ``opnas.model.param_shapes(config)``, the table
-models are built from, so a model parameter and its store entry share one
-name and one shape and are copied across without reshaping.
+Store keys and shapes are ``opnas.search_space.param_shapes(config)``, the
+table models are built from, so a model parameter and its store entry
+share one name and one shape and are copied across without reshaping.
 
 Write-back keeps the stored 65-kernel the single source of truth: the
 candidate trains the transform T and the slice S jointly (its effective
@@ -40,16 +40,19 @@ import numpy as np
 
 from opnas.evolution import EvalResult
 from opnas.model import (
-    MAX_KERNEL,
-    TRANSFORM_SIZES,
     ModelConfig,
     OptimConfig,
     build_model,
     mlm_pretrain,
-    param_shapes,
     proxy_evaluate,
 )
-from opnas.search_space import KERNEL_MENU, BackboneSpec
+from opnas.search_space import (
+    KERNEL_MENU,
+    MAX_KERNEL,
+    TRANSFORM_SIZES,
+    BackboneSpec,
+    param_shapes,
+)
 
 __all__ = [
     "MAX_KERNEL",

@@ -3,7 +3,7 @@
 Tensors are float64 numpy arrays plus a recorded computation graph. The op
 set is deliberately small: the ten primitives usable inside searched
 attention graphs (six unary, four binary), the layer building blocks
-(linear, depthwise conv, GLU, layer norm, embedding, concat, head merge,
+(depthwise conv, GLU, layer norm, embedding, concat, head merge,
 reshape), the masked cross-entropy loss, and a handful of helpers the tests
 need (sum, mul). Every op but concat acts on the last one or two axes and
 carries leading axes along, so one call runs every sequence of a batch and
@@ -50,7 +50,6 @@ __all__ = [
     "matmul",
     "cosine_similarity",
     "euclidean_distance",
-    "linear",
     "depthwise_conv1d",
     "glu",
     "layer_norm",
@@ -391,11 +390,6 @@ def apply_binary(op: str, a: Tensor, b: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # model building blocks
-
-
-def linear(x: Tensor, w: Tensor) -> Tensor:
-    """x (n x d) times w (d x m). No bias; the op set stays minimal."""
-    return matmul(x, w)
 
 
 def depthwise_conv1d(x: Tensor, kernel: Tensor) -> Tensor:

@@ -88,7 +88,7 @@ GRAD_CASES = [
     ("euclidean", lambda r: [r.normal(size=(4, 5)), r.normal(size=(4, 5))],
      lambda ts: T.euclidean_distance(ts[0], ts[1])),
     ("linear", lambda r: [r.normal(size=(5, 4)), r.normal(size=(4, 3))],
-     lambda ts: T.linear(ts[0], ts[1])),
+     lambda ts: T.matmul(ts[0], ts[1])),
     ("conv", lambda r: [r.normal(size=(9, 3)), r.normal(size=(5, 3))],
      lambda ts: T.depthwise_conv1d(ts[0], ts[1])),
     ("glu", lambda r: [r.normal(size=(5, 8))], lambda ts: T.glu(ts[0])),

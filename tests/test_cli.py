@@ -85,6 +85,21 @@ def test_search_baselines_run(tiny_cfg, tmp_path):
         assert len(read_history(out / "history.jsonl")) > 0
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("baseline", ["op", "rs"])
+def test_search_that_scores_nothing_is_exit_5(baseline, tiny_cfg, tmp_path, capsys):
+    cfg = json.loads(Path(tiny_cfg).read_text())
+    cfg["trainer"]["lr"] = 1e200  # every candidate's training diverges
+    bad_cfg = tmp_path / "bad.json"
+    bad_cfg.write_text(json.dumps(cfg))
+    assert run("search", "--config", bad_cfg, "--out-dir", tmp_path / "run",
+               "--baseline", baseline) == 5
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("error: every candidate of 3 batches")
+
+
 def test_search_flag_overrides_config(tiny_cfg, tmp_path):
     out = tmp_path / "o"
     assert run("search", "--config", tiny_cfg, "--out-dir", out,

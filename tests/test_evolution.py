@@ -19,6 +19,7 @@ from opnas.evolution import (
     CheckpointError,
     EvalRecord,
     EvalResult,
+    EvaluationFailed,
     SearchConfig,
     UcbStats,
     kernel_distribution,
@@ -33,6 +34,8 @@ from opnas.evolution import (
 )
 
 ZERO_CLOCK = lambda: 0.0
+
+STRATEGIES = (search, vanilla_ea, random_search)
 
 
 def node_fraction_fitness(spec, wanted=("add", "softsign")):
@@ -60,6 +63,23 @@ def stats_from(pairs):
     for i, (spec, score) in enumerate(pairs):
         record_result(stats, Candidate(i, spec, score), score)
     return stats
+
+
+def always_fails(spec):
+    raise RuntimeError("synthetic failure")
+
+
+class Crash(BaseException):
+    """Stands in for a kill: the loop discards Exceptions, not this."""
+
+
+def crash_at(crash_id, fitness=node_fraction_fitness):
+    """Evaluator that scores with ``fitness`` until it reaches ``crash_id``."""
+    def evaluator(spec, candidate_id):
+        if candidate_id == crash_id:
+            raise Crash()
+        return fitness(spec)
+    return evaluator
 
 
 def single_op_spec(op, args=("q",)):
@@ -320,9 +340,12 @@ def test_random_search_budget_and_parents():
 
 def test_max_evaluations_caps_all_algorithms(tmp_path):
     cfg = tiny_search_config(max_iterations=50, max_evaluations=17)
-    for algo in (search, vanilla_ea, random_search):
-        records = algo(cfg, node_fraction_fitness, clock=ZERO_CLOCK)
+    for algo in STRATEGIES:
+        out = tmp_path / algo.__name__
+        records = algo(cfg, node_fraction_fitness, out_dir=out, clock=ZERO_CLOCK)
         assert len(records) == 17, algo.__name__
+        checkpoint = json.loads((out / "checkpoint.json").read_text())
+        assert checkpoint["next_id"] == checkpoint["evaluations"] == 17, algo.__name__
 
 
 def test_evaluator_receiving_candidate_id():
@@ -438,54 +461,68 @@ def test_patience_stops_stale_runs():
 def test_parallel_jobs_match_serial(tmp_path):
     cfg_serial = tiny_search_config(max_iterations=2)
     cfg_par = tiny_search_config(max_iterations=2, jobs=2)
-    a = search(cfg_serial, node_fraction_fitness, out_dir=tmp_path / "s",
-               clock=ZERO_CLOCK)
-    b = search(cfg_par, node_fraction_fitness, out_dir=tmp_path / "p",
-               clock=ZERO_CLOCK)
-    assert (tmp_path / "s" / "history.jsonl").read_bytes() == \
-        (tmp_path / "p" / "history.jsonl").read_bytes()
-    assert [r.id for r in a] == [r.id for r in b]
+    for algo in STRATEGIES:
+        serial, par = tmp_path / algo.__name__ / "s", tmp_path / algo.__name__ / "p"
+        a = algo(cfg_serial, node_fraction_fitness, out_dir=serial, clock=ZERO_CLOCK)
+        b = algo(cfg_par, node_fraction_fitness, out_dir=par, clock=ZERO_CLOCK)
+        for name in ("history.jsonl", "checkpoint.json"):
+            assert (serial / name).read_bytes() == (par / name).read_bytes(), \
+                (algo.__name__, name)
+        assert [r.id for r in a] == [r.id for r in b], algo.__name__
 
 
 # ---------------------------------------------------------------------------
 # checkpointing
 
 
+RESUME_BASE = dict(population_size=6, k=2, alpha=0.5, children_per_parent=2,
+                   seed=3, num_layers=2, max_path_len=6)
+# a child of iteration 1 in an evolved run, a mid-batch candidate of
+# iteration 1 in a random one
+CRASH_ID = 8
+
+
 def test_resume_reproduces_uninterrupted_run(tmp_path):
-    base = dict(population_size=6, k=2, alpha=0.5, children_per_parent=2,
-                seed=3, num_layers=2, max_path_len=6)
-    gold_cfg = SearchConfig(max_iterations=5, **base)
-    search(gold_cfg, node_fraction_fitness, out_dir=tmp_path / "gold",
-           clock=ZERO_CLOCK)
+    cfg = SearchConfig(max_iterations=5, **RESUME_BASE)
+    for algo in STRATEGIES:
+        gold, cut = tmp_path / algo.__name__ / "gold", tmp_path / algo.__name__ / "cut"
+        algo(cfg, node_fraction_fitness, out_dir=gold, clock=ZERO_CLOCK)
+        with pytest.raises(Crash):
+            algo(cfg, crash_at(CRASH_ID), out_dir=cut, clock=ZERO_CLOCK)
+        algo(cfg, node_fraction_fitness, out_dir=cut, resume=True, clock=ZERO_CLOCK)
+        for name in ("history.jsonl", "checkpoint.json"):
+            assert (gold / name).read_bytes() == (cut / name).read_bytes(), \
+                (algo.__name__, name)
 
-    search(SearchConfig(max_iterations=2, **base), node_fraction_fitness,
-           out_dir=tmp_path / "resumed", clock=ZERO_CLOCK)
-    search(SearchConfig(max_iterations=5, **base), node_fraction_fitness,
-           out_dir=tmp_path / "resumed", resume=True, clock=ZERO_CLOCK)
-
-    assert (tmp_path / "gold" / "history.jsonl").read_bytes() == \
-        (tmp_path / "resumed" / "history.jsonl").read_bytes()
+    # an evolved run that finished at fewer iterations extends to the same
+    # bytes (a random run's nominal budget moves with max_iterations)
+    for algo in (search, vanilla_ea):
+        short = tmp_path / algo.__name__ / "short"
+        algo(SearchConfig(max_iterations=2, **RESUME_BASE), node_fraction_fitness,
+             out_dir=short, clock=ZERO_CLOCK)
+        algo(cfg, node_fraction_fitness, out_dir=short, resume=True, clock=ZERO_CLOCK)
+        assert (tmp_path / algo.__name__ / "gold" / "history.jsonl").read_bytes() == \
+            (short / "history.jsonl").read_bytes(), algo.__name__
 
 
 def test_resume_truncates_partial_iteration(tmp_path):
-    base = dict(population_size=6, k=2, alpha=0.5, children_per_parent=2,
-                seed=3, num_layers=2, max_path_len=6)
-    search(SearchConfig(max_iterations=5, **base), node_fraction_fitness,
-           out_dir=tmp_path / "gold", clock=ZERO_CLOCK)
-    search(SearchConfig(max_iterations=2, **base), node_fraction_fitness,
-           out_dir=tmp_path / "cut", clock=ZERO_CLOCK)
+    cfg = SearchConfig(max_iterations=5, **RESUME_BASE)
+    for algo in STRATEGIES:
+        gold, cut = tmp_path / algo.__name__ / "gold", tmp_path / algo.__name__ / "cut"
+        algo(cfg, node_fraction_fitness, out_dir=gold, clock=ZERO_CLOCK)
+        with pytest.raises(Crash):
+            algo(cfg, crash_at(CRASH_ID), out_dir=cut, clock=ZERO_CLOCK)
 
-    # simulate a crash mid-iteration: extra rows after the checkpoint
-    hist = tmp_path / "cut" / "history.jsonl"
-    last = json.loads(hist.read_text().splitlines()[-1])
-    last["iteration"] += 1
-    last["id"] = 10_000
-    with open(hist, "a") as fh:
-        fh.write(json.dumps(last) + "\n")
+        # simulate a crash mid-iteration: extra rows after the checkpoint
+        hist = cut / "history.jsonl"
+        last = json.loads(hist.read_text().splitlines()[-1])
+        last["iteration"] += 1
+        last["id"] = 10_000
+        with open(hist, "a") as fh:
+            fh.write(json.dumps(last) + "\n")
 
-    search(SearchConfig(max_iterations=5, **base), node_fraction_fitness,
-           out_dir=tmp_path / "cut", resume=True, clock=ZERO_CLOCK)
-    assert (tmp_path / "gold" / "history.jsonl").read_bytes() == hist.read_bytes()
+        algo(cfg, node_fraction_fitness, out_dir=cut, resume=True, clock=ZERO_CLOCK)
+        assert (gold / "history.jsonl").read_bytes() == hist.read_bytes(), algo.__name__
 
 
 def test_resume_requires_checkpoint(tmp_path):
@@ -510,6 +547,82 @@ def test_checkpoint_written_every_iteration(tmp_path):
     payload = json.loads((tmp_path / "checkpoint.json").read_text())
     assert payload["iteration"] == 2
     assert payload["next_id"] == len(read_history(tmp_path / "history.jsonl"))
+
+
+# ---------------------------------------------------------------------------
+# the failure rule: three batches in a row that score nothing end a run
+
+
+@pytest.mark.parametrize("algo", STRATEGIES, ids=lambda a: a.__name__)
+def test_three_empty_batches_raise(algo, tmp_path):
+    calls = []
+
+    def fails(spec, candidate_id):
+        calls.append(candidate_id)
+        raise RuntimeError("synthetic failure")
+
+    cfg = tiny_search_config()
+    with pytest.raises(EvaluationFailed, match="3 batches in a row"):
+        algo(cfg, fails, out_dir=tmp_path, clock=ZERO_CLOCK)
+    # with the population empty every strategy proposes random batches;
+    # the first two were finished as empty iterations
+    assert calls == list(range(3 * cfg.population_size))
+    checkpoint = json.loads((tmp_path / "checkpoint.json").read_text())
+    assert checkpoint["iteration"] == 1
+    assert checkpoint["population"] == []
+    assert not (tmp_path / "history.jsonl").exists()
+
+
+@pytest.mark.parametrize("algo", STRATEGIES, ids=lambda a: a.__name__)
+def test_failure_streak_carries_across_resume(algo, tmp_path):
+    cfg = tiny_search_config()
+    pop = cfg.population_size
+    # two batches score nothing, then the run is killed inside the third
+    with pytest.raises(Crash):
+        algo(cfg, crash_at(2 * pop, always_fails), out_dir=tmp_path, clock=ZERO_CLOCK)
+    calls = []
+
+    def fails(spec, candidate_id):
+        calls.append(candidate_id)
+        raise RuntimeError("synthetic failure")
+
+    with pytest.raises(EvaluationFailed):
+        algo(cfg, fails, out_dir=tmp_path, resume=True, clock=ZERO_CLOCK)
+    # the streak is read from the history: the replayed third batch ends it
+    assert calls == list(range(2 * pop, 3 * pop))
+
+
+def test_scored_batch_resets_the_failure_streak():
+    cfg = tiny_search_config(max_evaluations=30)
+    pop = cfg.population_size
+
+    def fitness(spec, candidate_id):
+        # batches 0, 1, 3 and 4 fail; batch 2 scores
+        if not 2 * pop <= candidate_id < 3 * pop:
+            raise RuntimeError("synthetic failure")
+        return node_fraction_fitness(spec)
+
+    with pytest.raises(EvaluationFailed, match=r"iterations 3-5"):
+        random_search(cfg, fitness, clock=ZERO_CLOCK)
+
+
+@pytest.mark.parametrize("algo", (search, vanilla_ea), ids=lambda a: a.__name__)
+def test_evolved_search_reseeds_after_failed_seed_batch(algo, tmp_path):
+    cfg = tiny_search_config()
+    pop = cfg.population_size
+
+    def seeds_fail(spec, candidate_id):
+        if candidate_id < pop:
+            raise RuntimeError("synthetic failure")
+        return node_fraction_fitness(spec)
+
+    records = algo(cfg, seeds_fail, out_dir=tmp_path, clock=ZERO_CLOCK)
+    reseed = [r for r in records if r.iteration == 1]
+    assert [r.id for r in reseed] == list(range(pop, 2 * pop))
+    assert all(r.parent_id is None for r in reseed)
+    children = [r for r in records if r.iteration > 1]
+    assert children and all(r.parent_id is not None for r in children)
+    assert max(r.iteration for r in records) == cfg.max_iterations
 
 
 # ---------------------------------------------------------------------------

@@ -156,12 +156,6 @@ def test_euclidean_coincident_rows_zero_grad(rng):
     assert np.isfinite(ta.grad).all()
 
 
-def test_linear_gradients(rng):
-    x = rng.normal(size=(4, 3))
-    w = rng.normal(size=(3, 5))
-    check_grad(lambda ts: T.linear(ts[0], ts[1]), [x, w])
-
-
 def test_depthwise_conv_gradients(rng):
     x = rng.normal(size=(6, 4))
     kern = rng.normal(size=(3, 4))
