@@ -1,14 +1,15 @@
 """Toy masked-token task: model assembly, pretraining, proxy scoring.
 
 A backbone spec becomes an executable model: token + learned positional
-embeddings, then per layer either an attention block (each used input
-projected by one stacked H x d x d_h weight into H heads, the dag run once
-over all heads, heads merged into n x d and mixed by W_O, with residual +
-layer norm and a softsign FFN sublayer) or a conv block (projection to 2d,
-GLU, depthwise conv, residual + layer norm), finished by a tied-embedding
-masked-token head. A model runs one sequence, ids (n,), or a batch, ids
-(B, n), through the same ops: every tensor carries the batch as a leading
-axis, so a training step, a proxy chunk or a uniformity pass is one graph.
+embeddings, then per layer either an attention block (each input the dag's
+live nodes read projected by one stacked H x d x d_h weight into H heads,
+the live nodes run once over all heads, heads merged into n x d and mixed
+by W_O, with residual + layer norm and a softsign FFN sublayer) or a conv
+block (projection to 2d, GLU, depthwise conv, residual + layer norm),
+finished by a tied-embedding masked-token head. A model runs one sequence,
+ids (n,), or a batch, ids (B, n), through the same ops: every tensor
+carries the batch as a leading axis, so a training step, a proxy chunk or a
+uniformity pass is one graph.
 
 ``search_space.param_shapes`` is the one parameter table: it names and
 shapes every model parameter (``layer{i}.att.{q,k,v,p}``,
@@ -277,7 +278,10 @@ class Model:
         p = self.params
         # (..., 1, n, d) @ (H, d, d_h) -> (..., H, n, d_h): every head at once
         lifted = reshape(x, x.shape[:-2] + (1,) + x.shape[-2:])
-        env = {name: matmul(lifted, p[f"layer{i}.att.{name}"]) for name in dag.inputs}
+        # only the inputs the dag's live nodes read are projected: a dead
+        # input's weight gets no gradient, and Adam leaves it as it is
+        _, live_inputs = dag.live
+        env = {name: matmul(lifted, p[f"layer{i}.att.{name}"]) for name in live_inputs}
         mixed = matmul(merge_heads(eval_dag(dag, env)), p[f"layer{i}.att.wo"])
         x = layer_norm(add(x, mixed),
                        p[f"layer{i}.ln_att.gain"], p[f"layer{i}.ln_att.bias"])

@@ -9,6 +9,13 @@ n x d_h again. A backbone is an ordered list of layers, each either an
 attention dag or a lightweight convolution with a kernel size from a fixed
 menu.
 
+Only the live part of a dag runs (``AttentionDag.live``, ``eval_dag``):
+the nodes the output depends on, and the inputs they read. A dag may
+declare inputs and carry nodes nothing reads, as evolved programs carry
+redundant instructions. Dead nodes stay in the encoding and mutate like
+any other, and a dead input keeps its projection in the parameter table,
+but neither is computed.
+
 Everything here is immutable after construction; mutation returns new
 objects and takes an explicit ``random.Random`` so parallel callers with
 separate rng streams stay deterministic.
@@ -18,6 +25,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import json
 import math
 import random
@@ -130,6 +138,30 @@ class AttentionDag:
     @property
     def output(self) -> int:
         return len(self.nodes) - 1
+
+    @functools.cached_property
+    def live(self) -> tuple[tuple[int, ...], tuple[str, ...]]:
+        """The nodes the output depends on, in topological order, and the
+        declared inputs those nodes read, in declaration order.
+
+        A reverse scan from ``output``: every other node is dead code whose
+        value nothing reads, and every other input feeds only dead code.
+        Cached on the dag (it derives from immutable fields only), so a
+        model forward, which reads it twice per attention layer, allocates
+        nothing for it.
+        """
+        live = [False] * len(self.nodes)
+        live[self.output] = True
+        read: set[str] = set()
+        for i in range(self.output, -1, -1):
+            if live[i]:
+                for ref in self.nodes[i].args:
+                    if isinstance(ref, int):
+                        live[ref] = True
+                    else:
+                        read.add(ref)
+        return (tuple(i for i, on in enumerate(live) if on),
+                tuple(name for name in self.inputs if name in read))
 
 
 @dataclass(frozen=True)
@@ -281,15 +313,23 @@ def validate(dag: AttentionDag, max_len: int = MAX_PATH_LEN) -> tuple[bool, str]
 
 
 def eval_dag(dag: AttentionDag, inputs: Mapping[str, Tensor]) -> Tensor:
-    """Run the dag on concrete tensors keyed by input name."""
-    values: list[Tensor] = []
-    for node in dag.nodes:
+    """Run the dag's live nodes on concrete tensors keyed by input name.
+
+    Only the nodes ``dag.live`` names run, in order, so a dead node cannot
+    raise ``NonFiniteError``; the output and every gradient through it are
+    those a run of every node gives. ``inputs`` needs only the live inputs;
+    a missing one raises ``KeyError``.
+    """
+    nodes, _ = dag.live
+    values: dict[int, Tensor] = {}
+    for i in nodes:
+        node = dag.nodes[i]
         args = [values[r] if isinstance(r, int) else inputs[r] for r in node.args]
         if node.op in UNARY_OPS:
-            values.append(apply_unary(node.op, args[0]))
+            values[i] = apply_unary(node.op, args[0])
         else:
-            values.append(apply_binary(node.op, args[0], args[1]))
-    return values[-1]
+            values[i] = apply_binary(node.op, args[0], args[1])
+    return values[dag.output]
 
 
 # ---------------------------------------------------------------------------

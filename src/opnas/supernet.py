@@ -55,9 +55,7 @@ from opnas.search_space import (
 )
 
 __all__ = [
-    "MAX_KERNEL",
     "CENTER_INDEX",
-    "TRANSFORM_SIZES",
     "Supernet",
     "init_supernet",
     "center_slice",

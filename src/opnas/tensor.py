@@ -11,12 +11,13 @@ every attention head at once: a (B, H, n, d_h) dag operand is B x H
 independent matrices, layer blocks take (..., n, d), and the loss takes
 (B, n, V) logits.
 
-Every forward op validates that its output is finite; NaN/Inf on finite
-inputs is a bug in the caller's graph and raises ``NonFiniteError``
-immediately instead of propagating garbage. The check sums the output
-first: a finite sum proves every element finite, and only a non-finite sum
-(a NaN or infinite element, or finite elements whose sum overflows) is
-followed by the elementwise test that decides.
+Every forward op that runs validates that its output is finite; NaN/Inf on
+finite inputs is a bug in the caller's graph and raises ``NonFiniteError``
+immediately instead of propagating garbage. An attention dag runs only its
+live nodes (``search_space.eval_dag``), so a dead node is never checked.
+The check sums the output first: a finite sum proves every element finite,
+and only a non-finite sum (a NaN or infinite element, or finite elements
+whose sum overflows) is followed by the elementwise test that decides.
 
 A graph is recorded only when some operand requires grad. Over leaves that
 do not (plain ``Tensor``s), an op keeps no parents, so a forward-only pass
@@ -202,7 +203,11 @@ def logsigmoid(x: Tensor) -> Tensor:
     y = -np.logaddexp(0.0, -x.data)
 
     def grad_fn(g):
-        return (g / (1.0 + np.exp(x.data)),)
+        # exp overflows to inf for x > ~709, and g / (1 + inf) is exactly 0,
+        # the true limit: the overflow is expected, not a fault
+        with np.errstate(over="ignore"):
+            e = np.exp(x.data)
+        return (g / (1.0 + e),)
 
     return _make(y, (x,), grad_fn, "logsigmoid")
 

@@ -79,6 +79,41 @@ def euclidean_rows(a, b):
 
 
 # ---------------------------------------------------------------------------
+# attention dags, every node evaluated
+
+
+def dag_ancestors(dag):
+    """The node indices and declared inputs the last node depends on, found
+    by a recursive walk from the output, both in declaration order."""
+    nodes, inputs = set(), set()
+
+    def visit(ref):
+        if isinstance(ref, str):
+            inputs.add(ref)
+        elif ref not in nodes:
+            nodes.add(ref)
+            for arg in dag.nodes[ref].args:
+                visit(arg)
+
+    visit(len(dag.nodes) - 1)
+    return sorted(nodes), [name for name in dag.inputs if name in inputs]
+
+
+def eval_dag_every_node(dag, inputs, unary, binary):
+    """Run every node of the dag in order, dead ones included, and return the
+    last. ``unary(op, x)`` and ``binary(op, a, b)`` run one op, so a test can
+    pass in the library's op tables and compare graphs, not kernels."""
+    values = []
+    for node in dag.nodes:
+        args = [values[r] if isinstance(r, int) else inputs[r] for r in node.args]
+        if len(args) == 1:
+            values.append(unary(node.op, args[0]))
+        else:
+            values.append(binary(node.op, args[0], args[1]))
+    return values[-1]
+
+
+# ---------------------------------------------------------------------------
 # attention formulas in closed form
 
 

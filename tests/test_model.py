@@ -1,12 +1,14 @@
 """Synthetic corpus, masking, training loop, and encoder checks."""
 
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import oracles
 from opnas import model as M
+from opnas import search_space as S
 from opnas import tensor as T
 from opnas.model import (
     BIGRAM_FOLLOW_P,
@@ -26,7 +28,9 @@ from opnas.model import (
     synth_corpus,
 )
 from opnas.search_space import (
+    AttentionDag,
     BackboneSpec,
+    DagNode,
     LayerSpec,
     autobert_zero_backbone,
     standard_backbone,
@@ -227,6 +231,68 @@ def test_gradients_reach_every_parameter(tiny_config, tiny_corpus):
     for name, p in model.params.items():
         assert p.grad is not None, name
         assert np.any(p.grad != 0.0), name
+
+
+# softmax(q k^T) v, plus a dead logsigmoid(p) -> euclidean branch: p is
+# declared and has a projection, but no live node reads it
+DEAD_CODE_DAG = AttentionDag(("q", "k", "v", "p"), (
+    DagNode("transpose", ("k",)),
+    DagNode("matmul", ("q", 0)),
+    DagNode("softmax", (1,)),
+    DagNode("logsigmoid", ("p",)),
+    DagNode("euclidean", ("q", 3)),
+    DagNode("matmul", (2, "v")),
+))
+
+
+def test_dead_code_changes_no_logit_loss_or_gradient(tiny_config, tiny_corpus, monkeypatch):
+    spec = BackboneSpec((LayerSpec.attention(DEAD_CODE_DAG), LayerSpec.conv(3)))
+    ids = tiny_corpus.train[:4]
+    rng = np.random.default_rng(0)
+    corrupted, mask = map(np.stack, zip(*[mask_tokens(seq, rng, vocab=tiny_config.vocab)
+                                          for seq in ids]))
+
+    def run():
+        # records the ops the dead branch would run: euclidean calls and the
+        # matmul operands, among them the p projection's weight
+        ops, operands = [], set()
+        monkeypatch.setitem(T.BINARY_OP_KINDS, "euclidean",
+                            lambda a, b: ops.append("euclidean") or T.euclidean_distance(a, b))
+        monkeypatch.setattr(M, "matmul", lambda a, b: operands.add(id(b)) or T.matmul(a, b))
+        model = build_model(spec, tiny_config, rng=0)
+        logits = model.forward(corrupted)
+        loss = T.masked_cross_entropy(logits, ids, mask)
+        T.backward(loss)
+        projected_p = id(model.params["layer0.att.p"]) in operands
+        trained, losses = mlm_pretrain(build_model(spec, tiny_config, rng=0), tiny_corpus,
+                                       steps=3, optim=OptimConfig(batch_size=4, warmup=1),
+                                       rng=np.random.default_rng(1))
+        return SimpleNamespace(ops=ops, projected_p=projected_p, model=model,
+                               logits=logits.data, loss=loss.item(), trained=trained,
+                               losses=losses)
+
+    pruned = run()
+    # the reference evaluates every node and projects every declared input
+    monkeypatch.setattr(S.AttentionDag, "live",
+                        property(lambda dag: (tuple(range(len(dag.nodes))), dag.inputs)))
+    full = run()
+
+    assert pruned.ops == [] and not pruned.projected_p
+    assert full.ops and full.projected_p
+    assert np.array_equal(pruned.logits, full.logits)
+    assert pruned.loss == full.loss
+    for name, p in pruned.model.params.items():
+        want = full.model.params[name].grad
+        assert (p.grad is None) == (want is None), name
+        assert p.grad is None or np.array_equal(p.grad, want), name
+    assert pruned.model.params["layer0.att.p"].grad is None
+    assert pruned.losses == full.losses
+    for name, p in pruned.trained.params.items():
+        assert np.array_equal(p.data, full.trained.params[name].data), name
+    # Adam leaves the dead input's projection as it was built
+    fresh = build_model(spec, tiny_config, rng=0)
+    assert np.array_equal(pruned.trained.params["layer0.att.p"].data,
+                          fresh.params["layer0.att.p"].data)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -111,6 +111,107 @@ def test_eval_dag_missing_input_raises(rng):
     env = make_inputs(rng, names=("q",))
     with pytest.raises(KeyError):
         S.eval_dag(S.standard_attention_dag(), env)
+
+
+# ---------------------------------------------------------------------------
+# dead-node elimination
+
+GOLDEN_DAGS = (S.standard_attention_dag(), S.softplus_key_attention_dag(),
+               S.key_value_mix_attention_dag())
+
+# the output is softmax(q k^T) v: node 3 and node 4 are dead, and p, read
+# only by node 3, is a dead input
+DEAD_CODE_DAG = S.AttentionDag(("q", "k", "v", "p"), (
+    S.DagNode("transpose", ("k",)),
+    S.DagNode("matmul", ("q", 0)),
+    S.DagNode("softmax", (1,)),
+    S.DagNode("logsigmoid", ("p",)),
+    S.DagNode("euclidean", ("q", 3)),
+    S.DagNode("matmul", (2, "v")),
+))
+
+
+def _overflow_dag(live: bool) -> S.AttentionDag:
+    # (q k^T) squared three times overflows on inputs of 1e20; the output
+    # reads that chain only when ``live``
+    chain = (S.DagNode("transpose", ("k",)), S.DagNode("matmul", ("q", 0)),
+             S.DagNode("matmul", (1, 1)), S.DagNode("matmul", (2, 2)),
+             S.DagNode("matmul", (3, 3)))
+    out = S.DagNode("matmul", (4, "q")) if live else S.DagNode("neg", ("q",))
+    return S.AttentionDag(("q", "k"), chain + (out,))
+
+
+def _recording(fn, op, calls):
+    def run(*args):
+        calls.append(op)
+        return fn(*args)
+    return run
+
+
+def test_live_part_of_golden_dags_is_whole():
+    for dag in GOLDEN_DAGS:
+        assert dag.live == (tuple(range(len(dag.nodes))), dag.inputs)
+
+
+def test_live_part_drops_dead_nodes_and_inputs():
+    assert S.validate(DEAD_CODE_DAG) == (True, "ok")
+    assert DEAD_CODE_DAG.live == ((0, 1, 2, 5), ("q", "k", "v"))
+
+
+def test_eval_dag_needs_only_live_inputs(rng):
+    env = make_inputs(rng)
+    got = S.eval_dag(DEAD_CODE_DAG, env).data
+    want = oracles.standard_attention(env["q"].data * np.sqrt(5), env["k"].data,
+                                      env["v"].data)
+    assert np.allclose(got, want, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_pruned_eval_equals_every_node_eval(seed):
+    dag = S.random_dag(random.Random(seed), max_len=12)
+    data = np.random.default_rng(seed)
+    arrays = {name: data.normal(size=(2, 3, 6, 4)) for name in dag.inputs}
+    w = data.normal(size=(2, 3, 6, 4))
+    live_nodes, live_inputs = oracles.dag_ancestors(dag)
+    pruned = {name: T.Tensor(a, requires_grad=True) for name, a in arrays.items()}
+    full = {name: T.Tensor(a, requires_grad=True) for name, a in arrays.items()}
+    calls = []
+    # an overflow, live or dead, ends in NonFiniteError rather than a warning
+    with np.errstate(over="ignore", invalid="ignore"), pytest.MonkeyPatch.context() as mp:
+        try:
+            want = oracles.eval_dag_every_node(dag, full, T.apply_unary, T.apply_binary)
+        except T.NonFiniteError:
+            want = None
+        for table in (T.UNARY_OP_KINDS, T.BINARY_OP_KINDS):
+            for op, fn in list(table.items()):
+                mp.setitem(table, op, _recording(fn, op, calls))
+        try:
+            got = S.eval_dag(dag, pruned)
+        except T.NonFiniteError:
+            got = None
+    # the live nodes are a subset of every node: a failure there fails both
+    assert want is not None or got is None
+    assume(want is not None)
+    assert calls == [dag.nodes[i].op for i in live_nodes]
+    assert np.array_equal(got.data, want.data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        T.backward(T.tensor_sum(T.mul(got, T.Tensor(w))))
+        T.backward(T.tensor_sum(T.mul(want, T.Tensor(w))))
+    for name in dag.inputs:
+        if name in live_inputs:
+            assert np.array_equal(pruned[name].grad, full[name].grad, equal_nan=True)
+        else:
+            assert pruned[name].grad is None and full[name].grad is None
+
+
+def test_dead_overflow_does_not_raise_and_live_overflow_does():
+    env = {name: T.Tensor(np.full((6, 4), 1e20)) for name in ("q", "k")}
+    assert np.array_equal(S.eval_dag(_overflow_dag(live=False), env).data,
+                          -env["q"].data)
+    with pytest.warns(RuntimeWarning, match="overflow"), \
+            pytest.raises(T.NonFiniteError):
+        S.eval_dag(_overflow_dag(live=True), env)
 
 
 # ---------------------------------------------------------------------------

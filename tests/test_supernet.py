@@ -11,6 +11,8 @@ from opnas.model import ModelConfig, OptimConfig, build_model, mlm_pretrain, syn
 from opnas.search_space import (
     INPUT_NAMES,
     KERNEL_MENU,
+    MAX_KERNEL,
+    TRANSFORM_SIZES,
     AttentionDag,
     BackboneSpec,
     DagNode,
@@ -21,8 +23,6 @@ from opnas.search_space import (
 )
 from opnas.supernet import (
     CENTER_INDEX,
-    MAX_KERNEL,
-    TRANSFORM_SIZES,
     BiwsEvaluator,
     Supernet,
     center_slice,

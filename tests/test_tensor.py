@@ -4,6 +4,8 @@ Every differentiable op is verified against central finite differences;
 forward values are pinned against independently computed references.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,19 @@ def test_unary_forward_values():
     assert np.allclose(T.scale(T.Tensor(np.ones((2, 4)))).data, 0.5)
     s = T.softmax(T.Tensor(np.array([[1.0, 1.0, 1.0]]))).data
     assert np.allclose(s, 1.0 / 3.0)
+
+
+def test_logsigmoid_saturates_without_warnings():
+    # exp(800) overflows inside the backward; the gradient's limit, 0, comes
+    # out exactly and no RuntimeWarning escapes
+    x = T.Tensor(np.array([[800.0, -800.0, 0.5]]), requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        T.backward(T.tensor_sum(T.logsigmoid(x)))
+    assert x.grad[0, 0] == 0.0
+    assert x.grad[0, 1] == 1.0
+    assert x.grad[0, 2] == 1.0 / (1.0 + np.exp(0.5))
+    check_grad(lambda ts: T.logsigmoid(ts[0]), [np.array([[-30.0, -2.0, 0.5, 30.0]])])
 
 
 def test_transpose_swaps_last_two_axes(rng):
