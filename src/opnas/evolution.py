@@ -27,8 +27,12 @@ Evaluator contract: a callable taking (spec) or (spec, candidate_id) and
 returning a float in [0, 1] or an EvalResult. Exceptions and scores outside
 [0, 1] (NaN included) discard the candidate with a logged reason and the
 loop continues. An evaluator may also expose
-``on_iteration_end(iteration, evaluated)`` to observe each completed
-iteration (used for supernet weight write-back).
+``on_iteration_end(iteration, best)``, called once per completed iteration
+with ``[(candidate, payload)]`` for the iteration's best scored candidate
+(score descending, then id ascending) and its EvalResult payload, or with
+``[]`` when nothing scored (used for supernet weight write-back). The rest
+of the batch is in the history; its payloads are dropped as soon as a
+better candidate returns, so a batch holds at most one payload at a time.
 """
 
 from __future__ import annotations
@@ -486,64 +490,79 @@ class _Sink:
 
 
 def _evaluate_batch(candidates, evaluator, takes_id, jobs, clock):
-    """Score a batch; returns (scored candidate, payload, wall_ms) in id order.
+    """Score a batch; returns ([(scored candidate, wall_ms)] in id order, best).
 
-    Failures are logged and dropped. With jobs > 1 the evaluator runs in a
-    process pool, so it must be picklable and deterministic given
-    (spec, candidate_id). A worker that dies breaks the pool: every
-    candidate not finished by then is logged and dropped too, and the next
-    batch gets a new pool.
+    ``best`` is (candidate, payload) of the batch's best scored candidate,
+    ranked as ``_top`` ranks, or None when nothing scored. Outcomes are
+    taken in id order and only the running best's payload is kept, so a
+    payload (a candidate's trained weights, say) is dropped as soon as a
+    better candidate returns. Failures are logged and dropped. With
+    jobs > 1 the evaluator runs in a process pool, so it must be picklable
+    and deterministic given (spec, candidate_id); each future is released
+    once read, since it holds the payload. A worker that dies breaks the
+    pool: every candidate not finished by then is logged and dropped too,
+    and the next batch gets a new pool.
     """
+    scored, best = [], None
     if jobs <= 1 or len(candidates) <= 1:
-        outcomes = [_timed_eval(evaluator, takes_id, c.spec, c.id, clock)
-                    for c in candidates]
-    else:
-        outcomes = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_timed_eval, evaluator, takes_id, c.spec, c.id)
-                       for c in candidates]
-            for fut in futures:
-                t0 = clock()
-                try:
-                    outcome, wall_ms = fut.result()
-                except BrokenProcessPool as e:
-                    outcome, wall_ms = f"worker died: {e}", 0.0
-                else:
-                    if clock is not time.perf_counter:
-                        # an injected clock rules the records even in pool
-                        # mode, so runs stay reproducible under a constant clock
-                        wall_ms = (clock() - t0) * 1000.0
-                outcomes.append((outcome, wall_ms))
-    evaluated = []
-    for cand, (outcome, wall_ms) in zip(candidates, outcomes):
-        if isinstance(outcome, str):
-            log.warning("candidate %d discarded: %s", cand.id, outcome)
-        else:
-            evaluated.append((replace(cand, score=outcome.score), outcome.payload,
-                              wall_ms))
-    return evaluated
+        for cand in candidates:
+            best = _fold(scored, best, cand,
+                         *_timed_eval(evaluator, takes_id, cand.spec, cand.id, clock))
+        return scored, best
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        futures = [pool.submit(_timed_eval, evaluator, takes_id, c.spec, c.id)
+                   for c in candidates]
+        for cand in candidates:
+            best = _fold(scored, best, cand, *_read(futures.pop(0), clock))
+    return scored, best
+
+
+def _read(future, clock) -> tuple:
+    """A pool future's (outcome, wall_ms), as ``_timed_eval`` reports them."""
+    t0 = clock()
+    try:
+        outcome, wall_ms = future.result()
+    except BrokenProcessPool as e:
+        return f"worker died: {e}", 0.0
+    if clock is not time.perf_counter:
+        # an injected clock rules the records even in pool mode, so runs
+        # stay reproducible under a constant clock
+        wall_ms = (clock() - t0) * 1000.0
+    return outcome, wall_ms
+
+
+def _fold(scored: list, best, cand: Candidate, outcome, wall_ms: float):
+    """Add one outcome to ``scored``; returns the running best (candidate, payload)."""
+    if isinstance(outcome, str):
+        log.warning("candidate %d discarded: %s", cand.id, outcome)
+        return best
+    cand = replace(cand, score=outcome.score)
+    scored.append((cand, wall_ms))
+    # outcomes arrive in id order, so only a strictly higher score outranks
+    if best is None or cand.score > best[0].score:
+        return cand, outcome.payload
+    return best
 
 
 def _finish_iteration(state: _RunState, sink: _Sink, evaluator,
-                      evaluated, iteration: int) -> None:
+                      scored, best, iteration: int) -> None:
     """Apply one iteration's results in candidate-id order, then persist."""
     records = []
-    for cand, payload, wall_ms in evaluated:
+    for cand, wall_ms in scored:
         records.append(EvalRecord(cand.id, cand.parent_id, cand.spec,
                                   cand.score, iteration, wall_ms))
         record_result(state.stats, cand, cand.score)
         state.evaluations += 1
     state.history.extend(records)
-    scored = [c for c, _, _ in evaluated]
-    pool = state.population + scored
+    pool = state.population + [c for c, _ in scored]
     state.population = _top(pool, state.config.population_size)
     hook = getattr(evaluator, "on_iteration_end", None)
     if hook is not None:
-        hook(iteration, [(c, p) for c, p, _ in evaluated])
+        hook(iteration, [] if best is None else [best])
     state.iteration = iteration
-    best = state.population[0].score if state.population else None
-    if best is not None and (state.best_score is None or best > state.best_score):
-        state.best_score = best
+    top = state.population[0].score if state.population else None
+    if top is not None and (state.best_score is None or top > state.best_score):
+        state.best_score = top
         state.stale = 0
     else:
         state.stale += 1
@@ -607,13 +626,14 @@ def _run(config: SearchConfig, evaluator, propose, out_dir, resume: bool,
     if resume:
         sink.load_for_resume(state)
     while batch := propose(state):
-        evaluated = _evaluate_batch(batch, evaluator, takes_id, config.jobs, clock)
-        if not evaluated and _failed_streak(state) + 1 >= FAILED_BATCH_LIMIT:
+        scored, best = _evaluate_batch(batch, evaluator, takes_id, config.jobs, clock)
+        if not scored and _failed_streak(state) + 1 >= FAILED_BATCH_LIMIT:
             first, last = state.iteration + 2 - FAILED_BATCH_LIMIT, state.iteration + 1
             raise EvaluationFailed(f"every candidate of {FAILED_BATCH_LIMIT} batches in "
                                    f"a row failed evaluation (iterations {first}-{last})")
-        _finish_iteration(state, sink, evaluator, evaluated,
+        _finish_iteration(state, sink, evaluator, scored, best,
                           iteration=state.iteration + 1)
+        del best  # the payload must not outlive its iteration into the next batch
     return state.history
 
 

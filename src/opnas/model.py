@@ -235,9 +235,6 @@ class Model:
     def parameters(self) -> list[Parameter]:
         return list(self.params.values())
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.params.items()}
-
     def without_grad(self) -> "Model":
         """This model over plain ``Tensor`` leaves sharing the same arrays.
 
@@ -365,7 +362,10 @@ def mlm_pretrain(model: Model, corpus: Corpus, steps: int,
     losses[0] reflects the initialization. Each step draws its batch, masks
     the sequences one at a time in draw order, and runs them as one (B, n)
     forward and loss. Linear learning-rate warmup over ``optim.warmup``
-    steps. Non-finite loss raises TrainingDiverged.
+    steps. Non-finite loss raises TrainingDiverged, also where numpy
+    warnings are errors: each step runs under ``np.errstate`` that silences
+    overflow and invalid-value warnings, so the op that first goes
+    non-finite raises ``NonFiniteError`` rather than a ``RuntimeWarning``.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -378,20 +378,21 @@ def mlm_pretrain(model: Model, corpus: Corpus, steps: int,
         idx = rng.integers(0, len(corpus.train), size=optim.batch_size)
         seqs = corpus.train[idx]
         corrupted, masks = zip(*(mask_tokens(seq, rng, corpus.vocab) for seq in seqs))
-        try:
-            loss = masked_cross_entropy(model.forward(np.stack(corrupted)), seqs,
-                                        np.stack(masks))
-        except NonFiniteError as e:
-            raise TrainingDiverged(f"step {step}: {e}") from e
-        value = float(loss.data)
-        if not np.isfinite(value):
-            raise TrainingDiverged(f"step {step}: loss={value}")
-        losses.append(value)
-        opt.zero_grad()
-        backward(loss)
-        if optim.warmup > 0:
-            opt.lr = optim.lr * min(1.0, (step + 1) / optim.warmup)
-        opt.step()
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                loss = masked_cross_entropy(model.forward(np.stack(corrupted)), seqs,
+                                            np.stack(masks))
+            except NonFiniteError as e:
+                raise TrainingDiverged(f"step {step}: {e}") from e
+            value = float(loss.data)
+            if not np.isfinite(value):
+                raise TrainingDiverged(f"step {step}: loss={value}")
+            losses.append(value)
+            opt.zero_grad()
+            backward(loss)
+            if optim.warmup > 0:
+                opt.lr = optim.lr * min(1.0, (step + 1) / optim.warmup)
+            opt.step()
     return model, losses
 
 
@@ -410,7 +411,8 @@ def proxy_evaluate(model: Model, heldout: np.ndarray, mask_seed: int = 0) -> Pro
     Each sequence's mask is seeded by (mask_seed, its token content), so
     the score is independent of batch order and identical across calls.
     The forward runs without a graph over chunks of ``PROXY_CHUNK``
-    sequences.
+    sequences, under the same ``np.errstate`` as a training step, so
+    non-finite weights raise ``NonFiniteError``.
     """
     heldout = np.asarray(heldout)
     if len(heldout) == 0:
@@ -421,7 +423,8 @@ def proxy_evaluate(model: Model, heldout: np.ndarray, mask_seed: int = 0) -> Pro
     correct = 0
     for lo in range(0, len(heldout), PROXY_CHUNK):
         chunk = slice(lo, lo + PROXY_CHUNK)
-        pred = scorer.forward(corrupted[chunk]).data.argmax(axis=-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            pred = scorer.forward(corrupted[chunk]).data.argmax(axis=-1)
         correct += int((pred == heldout[chunk])[masks[chunk]].sum())
     value = correct / int(masks.sum())
     return ProxyScore(value=value, components={"masked_token_accuracy": value})

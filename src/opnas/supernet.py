@@ -10,7 +10,10 @@ arXiv:1908.09791). Candidates initialize by extraction - attention layers
 take the projections for the inputs their dag uses, conv layers take the
 center slice of the big kernel mapped through the transformation matrix -
 train briefly, and the best child of each search iteration writes its
-trained weights back.
+trained weights back. The search loop keeps only that child's weights
+(the running best of the batch) and hands them to the write-back hook; a
+beaten child's weights are dropped when a better child returns, so the
+supernet is the only weight set that outlives its candidate.
 
 Store keys and shapes are ``opnas.search_space.param_shapes(config)``, the
 table models are built from, so a model parameter and its store entry
@@ -284,12 +287,14 @@ def _write_back_candidate(sn: Supernet, spec: BackboneSpec,
 class BiwsEvaluator:
     """Search evaluator that trains supernet-initialized candidates.
 
-    Each call extracts a parameter set for the spec, fine-tunes it for
-    ``steps`` on the corpus, and scores heldout masked-token accuracy.
-    After every iteration the best-scoring child writes its trained
-    weights back (and the supernet is checkpointed when ``save_path`` is
-    set). Training randomness is keyed by (seed, candidate id), so scores
-    are reproducible and parallel evaluation matches serial.
+    Each call builds the spec's model from a supernet extraction,
+    fine-tunes it for ``steps`` on the corpus, scores heldout masked-token
+    accuracy, and returns the trained model's own arrays as the payload.
+    After every iteration the search loop hands ``on_iteration_end`` the
+    iteration's best child, whose weights are written back (and the
+    supernet is checkpointed when ``save_path`` is set). Training
+    randomness is keyed by (seed, candidate id), so scores are
+    reproducible and parallel evaluation matches serial.
     """
 
     def __init__(self, supernet: Supernet, corpus, steps: int = 100,
@@ -303,18 +308,20 @@ class BiwsEvaluator:
         self.save_path = Path(save_path) if save_path else None
 
     def __call__(self, spec: BackboneSpec, candidate_id: int) -> EvalResult:
-        params = init_candidate(self.supernet, spec)
-        model = build_model(spec, self.supernet.config, params=params)
+        model = build_model(spec, self.supernet.config,
+                            params=init_candidate(self.supernet, spec))
         rng = np.random.default_rng([self.seed, candidate_id])
         mlm_pretrain(model, self.corpus, self.steps, self.optim, rng)
         score = proxy_evaluate(model, self.corpus.heldout)
-        return EvalResult(score.value, payload=model.state_arrays())
+        # the model is dropped on return, so its arrays need no copy
+        return EvalResult(score.value,
+                          payload={name: p.data for name, p in model.params.items()})
 
-    def on_iteration_end(self, iteration: int, evaluated) -> None:
-        if not evaluated:
+    def on_iteration_end(self, iteration: int, best) -> None:
+        """Write back ``best``, the iteration's [(candidate, payload)] or []."""
+        if not best:
             return
-        best_cand, best_payload = max(evaluated,
-                                      key=lambda cp: (cp[0].score, -cp[0].id))
-        _write_back_candidate(self.supernet, best_cand.spec, best_payload)
+        [(cand, trained)] = best
+        _write_back_candidate(self.supernet, cand.spec, trained)
         if self.save_path is not None:
             self.supernet.save(self.save_path)

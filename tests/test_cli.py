@@ -85,8 +85,6 @@ def test_search_baselines_run(tiny_cfg, tmp_path):
         assert len(read_history(out / "history.jsonl")) > 0
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("baseline", ["op", "rs"])
 def test_search_that_scores_nothing_is_exit_5(baseline, tiny_cfg, tmp_path, capsys):
     cfg = json.loads(Path(tiny_cfg).read_text())

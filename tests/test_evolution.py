@@ -5,6 +5,7 @@ import logging
 import math
 import os
 import random
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from opnas.evolution import (
     search,
     ucb_score,
     vanilla_ea,
+    _top,
 )
 
 ZERO_CLOCK = lambda: 0.0
@@ -449,6 +451,78 @@ def test_iteration_end_hook_sees_scored_candidates():
     cfg = tiny_search_config(max_iterations=3)
     search(cfg, ev, clock=ZERO_CLOCK)
     assert ev.iterations == [0, 1, 2, 3]
+
+
+FAILING_BATCH = range(6, 10)  # every child of iteration 1 (population 6, 2 x 2)
+
+
+class BestRecorder:
+    """Scores by id (tied best scores, one all-failed batch) and records what
+    the hook is handed; module level so a process pool can pickle it."""
+
+    def __init__(self):
+        self.handed = []
+
+    def __call__(self, spec, candidate_id):
+        if candidate_id in FAILING_BATCH:
+            raise RuntimeError("synthetic failure")
+        return EvalResult(score=(candidate_id % 3) / 4, payload=("trained", candidate_id))
+
+    def on_iteration_end(self, iteration, best):
+        self.handed.append((iteration, best))
+
+
+def test_hook_is_handed_the_batch_best_only():
+    handed = {}
+    for jobs in (1, 2):
+        ev = BestRecorder()
+        records = search(tiny_search_config(max_iterations=3, jobs=jobs), ev,
+                         clock=ZERO_CLOCK)
+        assert [i for i, _ in ev.handed] == [0, 1, 2, 3]
+        for iteration, best in ev.handed:
+            batch = [Candidate(r.id, r.spec, r.score, r.parent_id)
+                     for r in records if r.iteration == iteration]
+            if iteration == 1:
+                assert batch == [] and best == []
+                continue
+            top = _top(batch, 1)[0]
+            assert best == [(top, ("trained", top.id))]
+        handed[jobs] = [(i, [(c.id, c.score) for c, _ in best]) for i, best in ev.handed]
+    # ids 2 and 5 tie at 0.5 in the seed batch; the lower id wins
+    assert handed[1][0] == (0, [(2, 0.5)])
+    assert handed[2] == handed[1]
+
+
+class Payload:
+    """A weakly referenceable stand-in for a candidate's trained weights."""
+
+
+def test_a_batch_holds_at_most_one_payload():
+    class Ev:
+        def __init__(self):
+            self.refs, self.alive_at_call, self.alive_at_hook = [], [], []
+            self.batch_start = True
+
+        def alive(self):
+            return sum(ref() is not None for ref in self.refs)
+
+        def __call__(self, spec):
+            self.alive_at_call.append((self.batch_start, self.alive()))
+            self.batch_start = False
+            payload = Payload()
+            self.refs.append(weakref.ref(payload))
+            return EvalResult(node_fraction_fitness(spec), payload)
+
+        def on_iteration_end(self, iteration, best):
+            self.alive_at_hook.append(self.alive())
+            self.batch_start = True
+
+    ev = Ev()
+    search(tiny_search_config(max_iterations=3), ev, clock=ZERO_CLOCK)
+    # the running best is the only earlier payload alive at a call, so at
+    # most two are alive after it returns; none outlives its iteration
+    assert all(alive <= (0 if start else 1) for start, alive in ev.alive_at_call)
+    assert ev.alive_at_hook == [1, 1, 1, 1]
 
 
 def test_patience_stops_stale_runs():

@@ -332,6 +332,16 @@ def test_training_deterministic(tiny_config, tiny_corpus):
     assert curves[0] == curves[1]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_divergence_is_training_diverged_when_warnings_are_errors(tiny_config, tiny_corpus):
+    # the first update overflows every later matmul; that must end in the
+    # documented exception, not numpy's overflow warning
+    model = build_model(standard_backbone(tiny_config.num_layers), tiny_config, rng=1)
+    with pytest.raises(M.TrainingDiverged):
+        mlm_pretrain(model, tiny_corpus, steps=3,
+                     optim=OptimConfig(lr=1e200, batch_size=4, warmup=0))
+
+
 def test_proxy_score_fixed_masks(tiny_config, tiny_corpus):
     spec = standard_backbone(tiny_config.num_layers)
     model = build_model(spec, tiny_config, rng=0)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opnas.evolution import EvalResult
+from opnas.evolution import Candidate, EvalResult, SearchConfig, search
 from opnas.model import ModelConfig, OptimConfig, build_model, mlm_pretrain, synth_corpus
 from opnas.search_space import (
     INPUT_NAMES,
@@ -275,23 +275,69 @@ def test_evaluator_is_deterministic_per_candidate(config, corpus):
 
 
 def test_evaluator_writes_best_only(config, corpus):
+    # the search loop hands the hook its batch's best child alone: 1 ties
+    # with 2 and wins on the lower id; each child's trained embedding is
+    # marked with its id to show whose weights were written back
+    scores = {0: 0.2, 1: 0.8, 2: 0.8, 3: 0.5}
+
+    class Marked(BiwsEvaluator):
+        def __call__(self, spec, candidate_id):
+            res = super().__call__(spec, candidate_id)
+            res.payload["tok_emb"][...] = candidate_id
+            return EvalResult(scores[candidate_id], res.payload)
+
     sn = init_supernet(config, rng=0)
-    ev = BiwsEvaluator(sn, corpus, steps=4,
-                       optim=OptimConfig(batch_size=4, warmup=2), seed=0)
+    ev = Marked(sn, corpus, steps=2, optim=OptimConfig(batch_size=4, warmup=2), seed=0)
+    cfg = SearchConfig(population_size=4, k=2, max_iterations=0, seed=0,
+                       num_layers=config.num_layers)
+    search(cfg, ev, clock=lambda: 0.0)
+    assert np.all(sn.store["tok_emb"] == 1.0)
+    assert sn.versions == [1] * config.num_layers
+    # no second ranking rule: a hook given two pairs refuses them
     spec = autobert_zero_backbone(config.num_layers)
-    r0 = ev(spec, candidate_id=0)
-    r1 = ev(spec, candidate_id=1)
+    pair = (Candidate(0, spec, 0.5), dict(sn.store))
+    with pytest.raises(ValueError):
+        ev.on_iteration_end(1, [pair, pair])
 
-    class Cand:
-        def __init__(self, cid, score):
-            self.id, self.spec, self.score = cid, spec, score
 
-    marked0 = dict(r0.payload)
-    marked0["tok_emb"] = np.full_like(marked0["tok_emb"], 7.0)
-    marked1 = dict(r1.payload)
-    marked1["tok_emb"] = np.full_like(marked1["tok_emb"], 9.0)
-    ev.on_iteration_end(0, [(Cand(0, 0.2), marked0), (Cand(1, 0.8), marked1)])
-    assert np.all(sn.store["tok_emb"] == 9.0)
+# ---------------------------------------------------------------------------
+# determinism of BIWS runs over process pools and resumes
+
+
+def _tiny_biws_search(out: Path, jobs: int = 1, max_iterations: int = 3,
+                      resume: bool = False) -> None:
+    config = ModelConfig(num_layers=2, d_model=16, n_heads=2, vocab=16, seq_len=8)
+    corpus = synth_corpus(seed=0, size=16, vocab=16, seq_len=8)
+    sn = Supernet.load(out / "sn.npz") if resume else init_supernet(config, rng=0)
+    ev = BiwsEvaluator(sn, corpus, steps=1, optim=OptimConfig(batch_size=2),
+                       seed=0, save_path=out / "sn.npz")
+    cfg = SearchConfig(population_size=4, k=2, children_per_parent=1,
+                       max_iterations=max_iterations, seed=0, num_layers=2,
+                       jobs=jobs)
+    search(cfg, ev, out_dir=out, resume=resume, clock=lambda: 0.0)
+
+
+RUN_FILES = ("history.jsonl", "checkpoint.json", "sn.npz")
+
+
+@pytest.fixture(scope="module")
+def serial_biws_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("serial")
+    _tiny_biws_search(out)
+    return out
+
+
+def test_biws_pool_run_equals_serial(serial_biws_run, tmp_path):
+    _tiny_biws_search(tmp_path, jobs=2)
+    for name in RUN_FILES:
+        assert (tmp_path / name).read_bytes() == (serial_biws_run / name).read_bytes(), name
+
+
+def test_biws_resumed_run_equals_uninterrupted(serial_biws_run, tmp_path):
+    _tiny_biws_search(tmp_path, max_iterations=1)
+    _tiny_biws_search(tmp_path, resume=True)
+    for name in RUN_FILES:
+        assert (tmp_path / name).read_bytes() == (serial_biws_run / name).read_bytes(), name
 
 
 # ---------------------------------------------------------------------------
