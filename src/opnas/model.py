@@ -362,10 +362,9 @@ def mlm_pretrain(model: Model, corpus: Corpus, steps: int,
     losses[0] reflects the initialization. Each step draws its batch, masks
     the sequences one at a time in draw order, and runs them as one (B, n)
     forward and loss. Linear learning-rate warmup over ``optim.warmup``
-    steps. Non-finite loss raises TrainingDiverged, also where numpy
-    warnings are errors: each step runs under ``np.errstate`` that silences
-    overflow and invalid-value warnings, so the op that first goes
-    non-finite raises ``NonFiniteError`` rather than a ``RuntimeWarning``.
+    steps. Non-finite loss raises TrainingDiverged, also with numpy warnings
+    as errors: a step ignores overflow and invalid-value warnings, so the
+    first non-finite op raises ``NonFiniteError``, not ``RuntimeWarning``.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
