@@ -32,7 +32,7 @@ with ``[(candidate, payload)]`` for the iteration's best scored candidate
 (score descending, then id ascending) and its EvalResult payload, or with
 ``[]`` when nothing scored (used for supernet weight write-back). The rest
 of the batch is in the history; its payloads are dropped as soon as a
-better candidate returns, so a batch holds at most one payload at a time.
+better candidate returns, so the loop keeps at most one payload per batch.
 """
 
 from __future__ import annotations
