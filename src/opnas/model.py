@@ -365,6 +365,9 @@ def mlm_pretrain(model: Model, corpus: Corpus, steps: int,
     steps. Non-finite loss raises TrainingDiverged, also with numpy warnings
     as errors: a step ignores overflow and invalid-value warnings, so the
     first non-finite op raises ``NonFiniteError``, not ``RuntimeWarning``.
+    A step's graph (its nodes and the arrays their backward reads) lives
+    only through that step: the loss is dropped after the update, so one
+    training graph is alive at a time.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -392,6 +395,7 @@ def mlm_pretrain(model: Model, corpus: Corpus, steps: int,
             if optim.warmup > 0:
                 opt.lr = optim.lr * min(1.0, (step + 1) / optim.warmup)
             opt.step()
+            del loss  # frees this step's graph before the next forward builds one
     return model, losses
 
 

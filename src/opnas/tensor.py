@@ -19,9 +19,17 @@ The check sums the output first: a finite sum proves every element finite,
 and only a non-finite sum (a NaN or infinite element, or finite elements
 whose sum overflows) is followed by the elementwise test that decides.
 
-A graph is recorded only when some operand requires grad. Over leaves that
-do not (plain ``Tensor``s), an op keeps no parents, so a forward-only pass
-frees each intermediate once the next op has used it.
+A graph is recorded only when some operand requires grad. The tape is
+kept apart from the data: an op output that records one gets a small
+``_Node`` holding its gradient function and its grad-requiring parents'
+nodes (a grad-requiring leaf is its own node), never the parent
+``Tensor``s. Each gradient function closes over only the arrays and shapes
+its backward reads. So a recorded graph keeps alive the nodes, those saved
+arrays and the leaves, and no op output as such: a residual sum, or a
+product that only ``scale`` reads, is freed once the caller drops it.
+Dropping the loss frees the whole graph. Over leaves that require no grad
+(plain ``Tensor``s) nothing is recorded, so a forward-only pass frees each
+intermediate once the next op has used it.
 """
 
 from __future__ import annotations
@@ -83,21 +91,24 @@ def _as_array(data) -> np.ndarray:
 
 
 class Tensor:
-    """A float64 array with an optional reverse-mode gradient tape entry.
+    """A float64 array with an optional reverse-mode tape node.
 
     ``grad`` is a plain numpy buffer of the same shape, populated by
-    :func:`backward`. Tensors are treated as immutable once created;
-    optimizers mutate ``Parameter.data`` in place between graph builds.
+    :func:`backward`. An op output that records a graph has a ``_Node``
+    (``None`` otherwise); the node refers to its parents' nodes, not to
+    them, so the graph outlives no ``Tensor`` but the leaves and the loss,
+    and a step's graph is freed with its loss. Tensors are treated as
+    immutable once created; optimizers mutate ``Parameter.data`` in place
+    between graph builds.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_fn")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._grad_fn: Callable[[np.ndarray], tuple] | None = None
+        self._node: _Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -147,6 +158,29 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.shape})"
 
 
+class _Node:
+    """Tape entry of one op output: its gradient function and its parents' entries.
+
+    ``parents`` lines up with the tuple ``grad_fn`` returns: the node of a
+    recorded parent, the parent itself for a grad-requiring leaf, ``None``
+    for a parent that requires no grad.
+    """
+
+    __slots__ = ("grad_fn", "parents")
+
+    def __init__(self, grad_fn: Callable[[np.ndarray], tuple],
+                 parents: tuple[_Node | Tensor | None, ...]):
+        self.grad_fn = grad_fn
+        self.parents = parents
+
+
+def _tape(t: Tensor) -> _Node | Tensor | None:
+    """What a graph keeps of operand ``t``: its node, itself as a leaf, or nothing."""
+    if not t.requires_grad:
+        return None
+    return t if t._node is None else t._node
+
+
 def _make(data: np.ndarray, parents: Sequence[Tensor], grad_fn, op: str) -> Tensor:
     # a finite sum proves every element finite; only a non-finite sum, which
     # finite elements can also give by overflowing, needs the elementwise test
@@ -155,8 +189,7 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], grad_fn, op: str) -> Tens
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._grad_fn = grad_fn
+        out._node = _Node(grad_fn, tuple(map(_tape, parents)))
     return out
 
 
@@ -200,13 +233,14 @@ def softmax(x: Tensor) -> Tensor:
 
 def logsigmoid(x: Tensor) -> Tensor:
     # -log(1 + exp(-x)), computed stably for large |x|
-    y = -np.logaddexp(0.0, -x.data)
+    xd = x.data
+    y = -np.logaddexp(0.0, -xd)
 
     def grad_fn(g):
         # exp overflows to inf for x > ~709, and g / (1 + inf) is exactly 0,
         # the true limit: the overflow is expected, not a fault
         with np.errstate(over="ignore"):
-            e = np.exp(x.data)
+            e = np.exp(xd)
         return (g / (1.0 + e),)
 
     return _make(y, (x,), grad_fn, "logsigmoid")
@@ -233,11 +267,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     shape (e.g. (B, n, d) + (n, d)); it is added to every leading index and
     its gradient is summed over the leading axes.
     """
-    lo, hi = sorted((a.shape, b.shape), key=len)
+    sa, sb = a.shape, b.shape
+    lo, hi = sorted((sa, sb), key=len)
     if hi[len(hi) - len(lo):] != lo:
-        raise ShapeError(f"add requires equal or trailing shapes, got {a.shape} and {b.shape}")
+        raise ShapeError(f"add requires equal or trailing shapes, got {sa} and {sb}")
     return _make(a.data + b.data, (a, b),
-                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)), "add")
+                 lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)), "add")
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -262,27 +297,31 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError:
         raise ShapeError(f"matmul leading axes differ: {a.shape} x {b.shape}") from None
 
+    ad, bd = a.data, b.data
+
     def grad_fn(g):
-        return (_matmul_grad(g, a, b, lhs=True), _matmul_grad(g, b, a, lhs=False))
+        return (_matmul_grad(g, ad.shape, bd, lhs=True),
+                _matmul_grad(g, bd.shape, ad, lhs=False))
 
-    return _make(a.data @ b.data, (a, b), grad_fn, "matmul")
+    return _make(ad @ bd, (a, b), grad_fn, "matmul")
 
 
-def _matmul_grad(g: np.ndarray, x: Tensor, other: Tensor, lhs: bool) -> np.ndarray:
-    """Gradient of operand ``x`` of a matmul with output gradient ``g``.
+def _matmul_grad(g: np.ndarray, shape: tuple[int, ...], other: np.ndarray,
+                 lhs: bool) -> np.ndarray:
+    """Gradient of the matmul operand of ``shape`` with output gradient ``g``.
 
-    The leading axes along which ``x`` was broadcast are summed. They join
+    The leading axes along which that operand was broadcast are summed. They join
     the contraction (the columns of ``g`` for the left operand, its rows
     for the right), so one product sums them and no per-index partial
     gradients are materialised.
     """
     nd = g.ndim
-    xs = (1,) * (nd - x.ndim) + x.shape
+    xs = (1,) * (nd - len(shape)) + shape
     oshape = (1,) * (nd - other.ndim) + other.shape
     summed = [i for i in range(nd - 2) if xs[i] == 1 and g.shape[i] != 1]
     kept = [i for i in range(nd - 2) if i not in summed]
     s = math.prod(g.shape[i] for i in summed)
-    o = other.data.reshape(oshape)
+    o = other.reshape(oshape)
     row, col = nd - 2, nd - 1
     g_lead = [g.shape[i] for i in kept]
     o_lead = [oshape[i] for i in kept]
@@ -291,12 +330,12 @@ def _matmul_grad(g: np.ndarray, x: Tensor, other: Tensor, lhs: bool) -> np.ndarr
             g_lead + [g.shape[row], s * g.shape[col]])
         ot = o.transpose(kept + summed + [col, row]).reshape(
             o_lead + [s * oshape[col], oshape[row]])
-        return (gt @ ot).reshape(x.shape)
+        return (gt @ ot).reshape(shape)
     # other^T @ g
     perm = kept + summed + [row, col]
     gt = g.transpose(perm).reshape(g_lead + [s * g.shape[row], g.shape[col]])
     ot = o.transpose(perm).reshape(o_lead + [s * oshape[row], oshape[col]])
-    return (ot.swapaxes(-1, -2) @ gt).reshape(x.shape)
+    return (ot.swapaxes(-1, -2) @ gt).reshape(shape)
 
 
 def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
@@ -307,10 +346,11 @@ def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
     """
     if a.ndim < 2 or a.shape != b.shape:
         raise ShapeError(f"cosine requires two equal rank >= 2 shapes, got {a.shape} and {b.shape}")
-    na = np.linalg.norm(a.data, axis=-1)
-    nb = np.linalg.norm(b.data, axis=-1)
+    ad, bd = a.data, b.data
+    na = np.linalg.norm(ad, axis=-1)
+    nb = np.linalg.norm(bd, axis=-1)
     denom = na[..., :, None] * nb[..., None, :]
-    raw = a.data @ b.data.swapaxes(-1, -2)
+    raw = ad @ bd.swapaxes(-1, -2)
     with np.errstate(divide="ignore", invalid="ignore"):
         c = np.where(denom > 0.0, raw / np.where(denom > 0.0, denom, 1.0), 0.0)
     c = np.clip(c, -1.0, 1.0)
@@ -321,8 +361,8 @@ def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
         gc = g * c
         na2 = np.where(na > 0.0, na**2, 1.0)
         nb2 = np.where(nb > 0.0, nb**2, 1.0)
-        da = w @ b.data - (gc.sum(axis=-1) / na2)[..., None] * a.data
-        db = w.swapaxes(-1, -2) @ a.data - (gc.sum(axis=-2) / nb2)[..., None] * b.data
+        da = w @ bd - (gc.sum(axis=-1) / na2)[..., None] * ad
+        db = w.swapaxes(-1, -2) @ ad - (gc.sum(axis=-2) / nb2)[..., None] * bd
         da[na == 0.0] = 0.0
         db[nb == 0.0] = 0.0
         return (da, db)
@@ -342,10 +382,11 @@ def euclidean_distance(a: Tensor, b: Tensor) -> Tensor:
     # squared differences summed one coordinate at a time over (..., n, n)
     # buffers: no (..., n, n, d) difference array, and each matrix pair's
     # entries depend on that pair alone, so any batch gives the same bits
-    e = np.zeros(a.shape[:-1] + (a.shape[-2],))
+    ad, bd = a.data, b.data
+    e = np.zeros(ad.shape[:-1] + (ad.shape[-2],))
     diff = np.empty_like(e)
-    for c in range(a.shape[-1]):
-        np.subtract(a.data[..., :, c, None], b.data[..., None, :, c], out=diff)
+    for c in range(ad.shape[-1]):
+        np.subtract(ad[..., :, c, None], bd[..., None, :, c], out=diff)
         diff *= diff
         e += diff
     np.sqrt(e, out=e)
@@ -353,8 +394,8 @@ def euclidean_distance(a: Tensor, b: Tensor) -> Tensor:
     def grad_fn(g):
         with np.errstate(divide="ignore", invalid="ignore"):
             d = np.where(e > 0.0, g / np.where(e > 0.0, e, 1.0), 0.0)
-        da = d.sum(axis=-1)[..., None] * a.data - d @ b.data
-        db = d.sum(axis=-2)[..., None] * b.data - d.swapaxes(-1, -2) @ a.data
+        da = d.sum(axis=-1)[..., None] * ad - d @ bd
+        db = d.sum(axis=-2)[..., None] * bd - d.swapaxes(-1, -2) @ ad
         return (da, db)
 
     return _make(e, (a, b), grad_fn, "euclidean")
@@ -475,13 +516,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     y = np.square(xh)
     inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
     xh *= inv
-    np.multiply(xh, gain.data, out=y)
+    gd = gain.data
+    np.multiply(xh, gd, out=y)
     y += bias.data
 
     def grad_fn(g):
         dgain = (g * xh).reshape(-1, d).sum(axis=0)
         dbias = g.reshape(-1, d).sum(axis=0)
-        dxh = g * gain.data
+        dxh = g * gd
         dx = inv * (
             dxh
             - dxh.mean(axis=-1, keepdims=True)
@@ -507,7 +549,8 @@ def masked_cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray) 
     mask = np.asarray(mask, dtype=bool)
     if targets.shape != logits.shape[:-1] or mask.shape != logits.shape[:-1]:
         raise ShapeError("targets and mask must match the leading axes of the logits")
-    data = logits.data.reshape((-1,) + logits.shape[-2:])
+    shape = logits.shape
+    data = logits.data.reshape((-1,) + shape[-2:])
     targets = targets.reshape(data.shape[:2])
     mask = mask.reshape(data.shape[:2])
     counts = mask.sum(axis=1)
@@ -522,14 +565,15 @@ def masked_cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray) 
     per_seq = [-part.mean() for part in np.split(picked, np.cumsum(counts)[:-1])]
     # summed in sequence order, then scaled: one separate loss per sequence
     # averaged the same way would give the same bits
-    loss = sum(per_seq) * (1.0 / len(per_seq))
+    n_seq = len(per_seq)
+    loss = sum(per_seq) * (1.0 / n_seq)
 
     def grad_fn(g):
         d = np.zeros_like(logp)
         d[mask] = np.exp(logp[mask])
         d[rows, pos, targets[rows, pos]] -= 1.0
-        share = g * (1.0 / len(per_seq))  # each sequence's weight in the mean
-        return ((share * d / counts[:, None, None]).reshape(logits.shape),)
+        share = g * (1.0 / n_seq)  # each sequence's weight in the mean
+        return ((share * d / counts[:, None, None]).reshape(shape),)
 
     return _make(np.float64(loss), (logits,), grad_fn, "masked_cross_entropy")
 
@@ -547,9 +591,11 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     if ids.min(initial=0) < 0 or (ids.size and ids.max() >= weight.shape[0]):
         raise ShapeError("token id out of range")
 
+    shape = weight.shape
+
     def grad_fn(g):
-        dw = np.zeros_like(weight.data)
-        np.add.at(dw, ids.reshape(-1), g.reshape(-1, weight.shape[1]))
+        dw = np.zeros(shape)
+        np.add.at(dw, ids.reshape(-1), g.reshape(-1, shape[1]))
         return (dw,)
 
     return _make(weight.data[ids], (weight,), grad_fn, "embedding")
@@ -592,17 +638,19 @@ def merge_heads(x: Tensor) -> Tensor:
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     """The same values in a new shape of equal size, e.g. (B, n, d) -> (B, 1, n, d)."""
+    old = x.shape
     try:
         data = x.data.reshape(shape)
     except ValueError:
-        raise ShapeError(f"cannot reshape {x.shape} to {shape}") from None
-    return _make(data, (x,), lambda g: (g.reshape(x.shape),), "reshape")
+        raise ShapeError(f"cannot reshape {old} to {shape}") from None
+    return _make(data, (x,), lambda g: (g.reshape(old),), "reshape")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul requires identical shapes, got {a.shape} and {b.shape}")
-    return _make(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data), "mul")
+    ad, bd = a.data, b.data
+    return _make(ad * bd, (a, b), lambda g: (g * bd, g * ad), "mul")
 
 
 def mul_const(x: Tensor, c: float) -> Tensor:
@@ -610,7 +658,8 @@ def mul_const(x: Tensor, c: float) -> Tensor:
 
 
 def tensor_sum(x: Tensor) -> Tensor:
-    return _make(np.float64(x.data.sum()), (x,), lambda g: (g * np.ones_like(x.data),), "sum")
+    shape = x.shape
+    return _make(np.float64(x.data.sum()), (x,), lambda g: (g * np.ones(shape),), "sum")
 
 
 # ---------------------------------------------------------------------------
@@ -626,36 +675,40 @@ def backward(loss: Tensor) -> None:
     """
     if loss.shape != ():
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
+    root = _tape(loss)
+    if root is None:
+        return
 
-    topo: list[Tensor] = []
+    # each entry of the walk is a _Node, or a leaf Tensor standing as its own
+    topo: list[_Node | Tensor] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[_Node | Tensor, bool]] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
             topo.append(node)
             continue
-        if id(node) in seen or not node.requires_grad:
+        if id(node) in seen:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            stack.append((p, False))
+        if isinstance(node, _Node):
+            stack.extend((p, False) for p in node.parents if p is not None)
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones(())}
+    grads: dict[int, np.ndarray] = {id(root): np.ones(())}
     for node in reversed(topo):
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node._grad_fn is None:
+        if isinstance(node, Tensor):
             # leaf: accumulate into the public buffer
             if node.grad is None:
                 node.grad = np.zeros_like(node.data)
             node.grad += g
             continue
-        parent_grads = node._grad_fn(g)
-        for p, pg in zip(node._parents, parent_grads):
-            if pg is None or not p.requires_grad:
+        parent_grads = node.grad_fn(g)
+        for p, pg in zip(node.parents, parent_grads):
+            if pg is None or p is None:
                 continue
             if id(p) in grads:
                 grads[id(p)] = grads[id(p)] + pg

@@ -1,5 +1,7 @@
 """Synthetic corpus, masking, training loop, and encoder checks."""
 
+import tracemalloc
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -233,6 +235,57 @@ def test_gradients_reach_every_parameter(tiny_config, tiny_corpus):
         assert np.any(p.grad != 0.0), name
 
 
+def test_residual_sums_are_freed_while_loss_lives(tiny_config, tiny_corpus, monkeypatch):
+    spec = BackboneSpec((LayerSpec.attention(standard_backbone(1).layers[0].dag),
+                         LayerSpec.conv(3)))
+    ids = tiny_corpus.train[:4]
+    masks = np.zeros(ids.shape, dtype=bool)
+    masks[:, ::5] = True
+
+    def grads(record):
+        model = build_model(spec, tiny_config, rng=0)
+        sums = []
+        add = M.add
+
+        def recording_add(a, b):
+            out = add(a, b)
+            sums.append(weakref.ref(out.data))
+            return out
+
+        if record:
+            monkeypatch.setattr(M, "add", recording_add)
+        loss = T.masked_cross_entropy(model.forward(ids), ids, masks)
+        monkeypatch.undo()
+        freed = [ref() is None for ref in sums]
+        T.backward(loss)
+        return freed, {name: p.grad for name, p in model.params.items()}
+
+    freed, got = grads(record=True)
+    # embedding + positions, then each block's residual sums: only the first
+    # stays, since the first block's projections read a view of it
+    assert freed == [False, True, True, True]
+    _, want = grads(record=False)
+    assert all(np.array_equal(got[name], want[name]) for name in want)
+
+
+def test_training_peak_memory_does_not_grow_with_steps():
+    config = ModelConfig(num_layers=4, d_model=32, n_heads=2)
+    corpus = synth_corpus(seed=0, size=64, vocab=config.vocab, seq_len=config.seq_len)
+
+    def peak(steps):
+        model = build_model(standard_backbone(config.num_layers), config, rng=0)
+        tracemalloc.start()
+        try:
+            mlm_pretrain(model, corpus, steps, OptimConfig(warmup=0), rng=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, three = peak(1), peak(3)
+    # a step's graph must be freed before the next step builds its own
+    assert three <= 1.1 * one, (one, three)
+
+
 # softmax(q k^T) v, plus a dead logsigmoid(p) -> euclidean branch: p is
 # declared and has a projection, but no live node reads it
 DEAD_CODE_DAG = AttentionDag(("q", "k", "v", "p"), (
@@ -389,7 +442,7 @@ def test_scoring_forward_shares_arrays_and_equals_forward(trained_hybrid, tiny_c
                for name, p in trained_hybrid.params.items())
     ids = tiny_corpus.heldout[:PROXY_CHUNK]
     got = scorer.forward(ids)
-    assert not got.requires_grad and got._parents == ()
+    assert not got.requires_grad and got._node is None  # no graph recorded
     assert np.array_equal(got.data, trained_hybrid.forward(ids).data)
 
 

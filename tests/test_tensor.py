@@ -5,6 +5,7 @@ forward values are pinned against independently computed references.
 """
 
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -483,6 +484,21 @@ def test_gradients_accumulate_across_backward_calls(rng):
     first = x.grad.copy()
     T.backward(T.tensor_sum(T.neg(x)))
     assert np.allclose(x.grad, 2 * first)
+
+
+def test_op_output_no_backward_reads_is_freed_while_loss_lives(rng):
+    a = T.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    b = T.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    w = rng.normal(size=(2, 3))
+    s = T.add(a, b)  # scale's backward reads no input, so nothing keeps s
+    alive = weakref.ref(s.data)
+    loss = T.tensor_sum(T.mul(T.neg(T.scale(s)), T.Tensor(w)))
+    del s
+    assert alive() is None
+    T.backward(loss)
+    # the gradient the tape computes in this order: w, -w, then -w * c
+    want = (-(w * np.ones((2, 3)))) * (1.0 / np.sqrt(3))
+    assert np.array_equal(a.grad, want) and np.array_equal(b.grad, want)
 
 
 def test_backward_requires_scalar(rng):
