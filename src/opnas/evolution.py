@@ -9,8 +9,10 @@ u = mu + alpha * sqrt(2 ln N / N_i), through a softmax; ops never seen at
 a position score infinity so they are explored first. It stops at
 max_iterations, after ``patience`` iterations without a better best, or
 at max_evaluations. ``vanilla_ea`` draws the op uniformly. ``random_search``
-draws independent specs up to a nominal budget; neither patience nor
-max_iterations stops it. Any strategy proposes random specs while its
+draws independent specs in the evolved strategies' batch shape up to a
+nominal budget; neither patience nor max_iterations stops it, and its batch
+edges do not depend on the budget, so a run resumed at a larger
+max_iterations equals a fresh one. Any strategy proposes random specs while its
 population is empty, and raises ``EvaluationFailed`` once three batches in
 a row score nothing (a streak read from the history, so it survives a
 resume).
@@ -571,12 +573,15 @@ def _finish_iteration(state: _RunState, sink: _Sink, evaluator,
 
 
 def _random_batch(state: _RunState, left: int | float) -> list[Candidate]:
-    """min(population_size, left) fresh random specs."""
+    """Fresh random specs: population_size while the population is empty
+    (seed or re-seed), else k * children_per_parent; at most ``left``."""
     config = state.config
+    size = (config.k * config.children_per_parent if state.population
+            else config.population_size)
     batch = [Candidate(id=state.next_id + i,
                        spec=_random_backbone(state.rng, config.num_layers,
                                              config.max_path_len))
-             for i in range(min(config.population_size, left))]
+             for i in range(min(size, left))]
     state.next_id += len(batch)
     return batch
 
@@ -656,8 +661,9 @@ def vanilla_ea(config: SearchConfig, evaluator, out_dir=None,
 
 def random_search(config: SearchConfig, evaluator, out_dir=None,
                   resume: bool = False, clock=None) -> list[EvalRecord]:
-    """Independent random specs, batched population_size per iteration, up to
-    max_evaluations or else the most an evolved run could evaluate."""
+    """Independent random specs in the evolved strategies' batches (a seed
+    batch of population_size, then k * children_per_parent per iteration),
+    up to max_evaluations or else the most an evolved run could evaluate."""
     budget = config.max_evaluations
     if budget is None:
         budget = (config.population_size

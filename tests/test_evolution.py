@@ -338,6 +338,9 @@ def test_random_search_budget_and_parents():
     assert len(records) == budget
     assert all(r.parent_id is None for r in records)
     assert [r.id for r in records] == list(range(budget))
+    # a seed batch, then the evolved strategies' batch shape
+    sizes = np.bincount([r.iteration for r in records]).tolist()
+    assert sizes == [cfg.population_size] + [cfg.k * cfg.children_per_parent] * 4
 
 
 def test_max_evaluations_caps_all_algorithms(tmp_path):
@@ -568,15 +571,16 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
             assert (gold / name).read_bytes() == (cut / name).read_bytes(), \
                 (algo.__name__, name)
 
-    # an evolved run that finished at fewer iterations extends to the same
-    # bytes (a random run's nominal budget moves with max_iterations)
-    for algo in (search, vanilla_ea):
+    # a run that finished at fewer iterations extends to the same bytes; a
+    # random run's batch edges do not move with its nominal budget either
+    for algo in STRATEGIES:
         short = tmp_path / algo.__name__ / "short"
         algo(SearchConfig(max_iterations=2, **RESUME_BASE), node_fraction_fitness,
              out_dir=short, clock=ZERO_CLOCK)
         algo(cfg, node_fraction_fitness, out_dir=short, resume=True, clock=ZERO_CLOCK)
-        assert (tmp_path / algo.__name__ / "gold" / "history.jsonl").read_bytes() == \
-            (short / "history.jsonl").read_bytes(), algo.__name__
+        for name in ("history.jsonl", "checkpoint.json"):
+            assert (tmp_path / algo.__name__ / "gold" / name).read_bytes() == \
+                (short / name).read_bytes(), (algo.__name__, name)
 
 
 def test_resume_truncates_partial_iteration(tmp_path):
