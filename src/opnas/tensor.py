@@ -679,7 +679,7 @@ def backward(loss: Tensor) -> None:
     if root is None:
         return
 
-    # each entry of the walk is a _Node, or a leaf Tensor standing as its own
+    # each entry of the walk is a _Node, or a leaf Tensor standing as its own node
     topo: list[_Node | Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[_Node | Tensor, bool]] = [(root, False)]
