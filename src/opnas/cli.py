@@ -7,7 +7,8 @@ config.json. Outputs go to --out-dir (env OPNAS_OUT_DIR, default
 ./opnas-out); input files are never modified.
 
 Exit codes: 0 ok, 2 config error, 3 checkpoint error, 4 spec error,
-5 data error (also a search whose three batches in a row scored nothing).
+5 data error (also a search whose three batches in a row scored nothing,
+and an eval or metrics run whose model diverges or turns non-finite).
 
 Search histories written by this command record wall_ms = 0.0: the run
 artifacts are specified to be byte-identical for a fixed seed, which real
@@ -42,6 +43,7 @@ from opnas.model import (
     MlmEvaluator,
     ModelConfig,
     OptimConfig,
+    TrainingDiverged,
     build_model,
     mlm_pretrain,
     proxy_evaluate,
@@ -58,6 +60,7 @@ from opnas.search_space import (
     validate,
 )
 from opnas.supernet import BiwsEvaluator, Supernet, init_candidate, init_supernet
+from opnas.tensor import NonFiniteError
 
 __all__ = ["main"]
 
@@ -298,8 +301,11 @@ def cmd_eval(args) -> int:
             model = build_model(spec, supernet.config, params=params)
         else:
             model = build_model(spec, model_config, rng=np.random.default_rng(seed))
-        mlm_pretrain(model, corpus, steps, optim, np.random.default_rng(seed))
-        result["score"] = proxy_evaluate(model, corpus.heldout).value
+        try:
+            mlm_pretrain(model, corpus, steps, optim, np.random.default_rng(seed))
+            result["score"] = proxy_evaluate(model, corpus.heldout).value
+        except (TrainingDiverged, NonFiniteError) as e:
+            raise CliError(EXIT_DATA, f"evaluation failed: {e}") from None
     print(json.dumps(result, indent=2))
     return EXIT_OK
 
@@ -341,8 +347,11 @@ def cmd_metrics(args) -> int:
         for s in range(seeds):
             rng = np.random.default_rng([base_seed, s])
             model = build_model(spec, spec_config, rng=rng)
-            mlm_pretrain(model, corpus, steps, optim, rng)
-            report = uniformity_report([(tag, model)], corpus.heldout)[0]
+            try:
+                mlm_pretrain(model, corpus, steps, optim, rng)
+                report = uniformity_report([(tag, model)], corpus.heldout)[0]
+            except (TrainingDiverged, NonFiniteError) as e:
+                raise CliError(EXIT_DATA, f"{tag} seed {s}: {e}") from None
             rows.append((tag, report["cosine"], report["residual"], s))
 
     csv_path = out / "uniformity.csv"

@@ -71,14 +71,17 @@ def uniformity_report(models: Sequence[tuple[str, Model]], heldout: np.ndarray,
     ``models`` is (tag, model) pairs; every model encodes the same first
     ``batch`` heldout sequences in one (B, n) pass without a graph, and
     each metric is taken per sequence and averaged over them. Rows come
-    back as {model, cosine, residual} dicts ready for plotting.
+    back as {model, cosine, residual} dicts ready for plotting. The encode
+    runs under the ``np.errstate`` of ``proxy_evaluate``, so non-finite
+    weights raise ``NonFiniteError`` also with numpy warnings as errors.
     """
     if len(heldout) == 0:
         raise ValueError("heldout split is empty")
     seqs = np.asarray(heldout[:batch])
     rows = []
     for tag, model in models:
-        reps = model.without_grad().encode(seqs).data
+        with np.errstate(over="ignore", invalid="ignore"):
+            reps = model.without_grad().encode(seqs).data
         cosines = [mean_pairwise_cosine(r) for r in reps]
         residuals = [relative_residual_norm(r) for r in reps]
         rows.append({

@@ -4,12 +4,12 @@ A backbone spec becomes an executable model: token + learned positional
 embeddings, then per layer either an attention block (each input the dag's
 live nodes read projected by one stacked H x d x d_h weight into H heads,
 the live nodes run once over all heads, heads merged into n x d and mixed
-by W_O, with residual + layer norm and a softsign FFN sublayer) or a conv
-block (projection to 2d, GLU, depthwise conv, residual + layer norm),
-finished by a tied-embedding masked-token head. A model runs one sequence,
-ids (n,), or a batch, ids (B, n), through the same ops: every tensor
-carries the batch as a leading axis, so a training step, a proxy chunk or a
-uniformity pass is one graph.
+by W_O, with residual + layer norm and a softsign FFN sublayer run as one
+``feed_forward`` op) or a conv block (projection to 2d, GLU, depthwise
+conv, residual + layer norm), finished by a tied-embedding masked-token
+head. A model runs one sequence, ids (n,), or a batch, ids (B, n), through
+the same ops: every tensor carries the batch as a leading axis, so a
+training step, a proxy chunk or a uniformity pass is one graph.
 
 ``search_space.param_shapes`` is the one parameter table: it names and
 shapes every model parameter (``layer{i}.att.{q,k,v,p}``,
@@ -45,6 +45,7 @@ from opnas.tensor import (
     concat,  # unused here: perfbench/spans.py wraps model.concat by name
     depthwise_conv1d,
     embedding,
+    feed_forward,
     glu,
     layer_norm,
     masked_cross_entropy,
@@ -52,7 +53,7 @@ from opnas.tensor import (
     merge_heads,
     mul_const,  # unused here: perfbench/spans.py wraps model.mul_const by name
     reshape,
-    softsign,
+    softsign,  # unused here: perfbench/spans.py wraps model.softsign by name
     transpose,
 )
 
@@ -282,8 +283,7 @@ class Model:
         mixed = matmul(merge_heads(eval_dag(dag, env)), p[f"layer{i}.att.wo"])
         x = layer_norm(add(x, mixed),
                        p[f"layer{i}.ln_att.gain"], p[f"layer{i}.ln_att.bias"])
-        hidden = softsign(matmul(x, p[f"layer{i}.ffn.w1"]))
-        ffn = matmul(hidden, p[f"layer{i}.ffn.w2"])
+        ffn = feed_forward(x, p[f"layer{i}.ffn.w1"], p[f"layer{i}.ffn.w2"])
         return layer_norm(add(x, ffn),
                           p[f"layer{i}.ln_ffn.gain"], p[f"layer{i}.ln_ffn.bias"])
 
@@ -366,8 +366,10 @@ def mlm_pretrain(model: Model, corpus: Corpus, steps: int,
     as errors: a step ignores overflow and invalid-value warnings, so the
     first non-finite op raises ``NonFiniteError``, not ``RuntimeWarning``.
     A step's graph (its nodes and the arrays their backward reads) lives
-    only through that step: the loss is dropped after the update, so one
-    training graph is alive at a time.
+    only through that step, and ``backward`` releases it as it walks; the
+    gradients are dropped after the update, so one step's forward never
+    runs next to the previous step's graph or gradients, and every
+    parameter's ``grad`` is None on return.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -375,6 +377,7 @@ def mlm_pretrain(model: Model, corpus: Corpus, steps: int,
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     opt = Adam(model.parameters(), lr=optim.lr, betas=optim.betas, eps=optim.eps)
+    opt.zero_grad()  # gradients the caller left would add into the first step
     losses: list[float] = []
     for step in range(steps):
         idx = rng.integers(0, len(corpus.train), size=optim.batch_size)
@@ -390,12 +393,13 @@ def mlm_pretrain(model: Model, corpus: Corpus, steps: int,
             if not np.isfinite(value):
                 raise TrainingDiverged(f"step {step}: loss={value}")
             losses.append(value)
-            opt.zero_grad()
             backward(loss)
             if optim.warmup > 0:
                 opt.lr = optim.lr * min(1.0, (step + 1) / optim.warmup)
             opt.step()
-            del loss  # frees this step's graph before the next forward builds one
+            # this step's gradients and graph are freed before the next forward
+            opt.zero_grad()
+            del loss
     return model, losses
 
 

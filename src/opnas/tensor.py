@@ -3,9 +3,9 @@
 Tensors are float64 numpy arrays plus a recorded computation graph. The op
 set is deliberately small: the ten primitives usable inside searched
 attention graphs (six unary, four binary), the layer building blocks
-(depthwise conv, GLU, layer norm, embedding, concat, head merge,
-reshape), the masked cross-entropy loss, and a handful of helpers the tests
-need (sum, mul). Every op but concat acts on the last one or two axes and
+(depthwise conv, GLU, layer norm, the softsign feed-forward, embedding,
+concat, head merge, reshape), the masked cross-entropy loss, and a handful
+of helpers the tests need (sum, mul). Every op but concat acts on the last one or two axes and
 carries leading axes along, so one call runs every sequence of a batch and
 every attention head at once: a (B, H, n, d_h) dag operand is B x H
 independent matrices, layer blocks take (..., n, d), and the loss takes
@@ -27,9 +27,11 @@ nodes (a grad-requiring leaf is its own node), never the parent
 its backward reads. So a recorded graph keeps alive the nodes, those saved
 arrays and the leaves, and no op output as such: a residual sum, or a
 product that only ``scale`` reads, is freed once the caller drops it.
-Dropping the loss frees the whole graph. Over leaves that require no grad
-(plain ``Tensor``s) nothing is recorded, so a forward-only pass frees each
-intermediate once the next op has used it.
+Dropping the loss frees the whole graph, and so does walking it:
+``backward`` drops each node's gradient function, with the arrays it saved,
+once it has run, so a graph can be walked once. Over leaves that require
+no grad (plain ``Tensor``s) nothing is recorded, so a forward-only pass
+frees each intermediate once the next op has used it.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ __all__ = [
     "depthwise_conv1d",
     "glu",
     "layer_norm",
+    "feed_forward",
     "masked_cross_entropy",
     "embedding",
     "concat",
@@ -181,11 +184,15 @@ def _tape(t: Tensor) -> _Node | Tensor | None:
     return t if t._node is None else t._node
 
 
-def _make(data: np.ndarray, parents: Sequence[Tensor], grad_fn, op: str) -> Tensor:
+def _check_finite(data: np.ndarray, op: str) -> None:
     # a finite sum proves every element finite; only a non-finite sum, which
     # finite elements can also give by overflowing, needs the elementwise test
     if not np.isfinite(data.sum()) and not np.isfinite(data).all():
         raise NonFiniteError(f"{op} produced non-finite values")
+
+
+def _make(data: np.ndarray, parents: Sequence[Tensor], grad_fn, op: str) -> Tensor:
+    _check_finite(data, op)
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -523,15 +530,52 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     def grad_fn(g):
         dgain = (g * xh).reshape(-1, d).sum(axis=0)
         dbias = g.reshape(-1, d).sum(axis=0)
+        # dx = inv * (dxh - mean(dxh) - xh * mean(dxh * xh)), in place in dxh
         dxh = g * gd
-        dx = inv * (
-            dxh
-            - dxh.mean(axis=-1, keepdims=True)
-            - xh * (dxh * xh).mean(axis=-1, keepdims=True)
-        )
-        return (dx, dgain, dbias)
+        m1 = dxh.mean(axis=-1, keepdims=True)
+        m2 = (dxh * xh).mean(axis=-1, keepdims=True)
+        dxh -= m1
+        dxh -= xh * m2
+        dxh *= inv
+        return (dxh, dgain, dbias)
 
     return _make(y, (x, gain, bias), grad_fn, "layer_norm")
+
+
+def feed_forward(x: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
+    """``softsign(x @ w1) @ w2`` as one op: (..., n, d) -> (..., n, m).
+
+    The values and gradients are those of ``matmul``, ``softsign`` and
+    ``matmul`` bit for bit, and each stage is checked finite as those ops
+    check it. The graph keeps only ``h = x @ w1`` besides ``x`` and the
+    weights: the backward recomputes softsign's denominator and output
+    from ``h`` with softsign's own expressions, so no (..., n, hidden)
+    activation but ``h`` lives between forward and backward.
+    """
+    if x.ndim < 2 or w1.ndim != 2 or w2.ndim != 2:
+        raise ShapeError(f"feed_forward requires a rank >= 2 input and rank-2 weights, "
+                         f"got {x.shape}, {w1.shape} and {w2.shape}")
+    if x.shape[-1] != w1.shape[0] or w1.shape[1] != w2.shape[0]:
+        raise ShapeError(f"feed_forward inner dimensions differ: "
+                         f"{x.shape} x {w1.shape} x {w2.shape}")
+    xd, w1d, w2d = x.data, w1.data, w2.data
+    h = xd @ w1d
+    _check_finite(h, "matmul")
+    s = 1.0 + np.abs(h)  # softsign's denominator, then its output in place
+    np.divide(h, s, out=s)
+    _check_finite(s, "softsign")
+
+    def grad_fn(g):
+        denom = 1.0 + np.abs(h)
+        dw2 = _matmul_grad(g, w2d.shape, h / denom, lhs=False)
+        # softsign's gradient ds / denom**2, with denom squared in place
+        ds = _matmul_grad(g, h.shape, w2d, lhs=True)
+        ds /= np.square(denom, out=denom)
+        del denom
+        return (_matmul_grad(ds, xd.shape, w1d, lhs=True),
+                _matmul_grad(ds, w1d.shape, xd, lhs=False), dw2)
+
+    return _make(s @ w2d, (x, w1, w2), grad_fn, "matmul")
 
 
 def masked_cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
@@ -672,6 +716,12 @@ def backward(loss: Tensor) -> None:
     ``loss`` must be scalar. Gradients add into existing buffers, so one
     optimizer step can aggregate several backward passes; leaves not
     reachable from ``loss`` are left untouched.
+
+    The walk releases the tape as it goes: once a node's gradient function
+    has run it is dropped, with the arrays it saved, so the graph shrinks
+    while the gradients grow. A graph can therefore be walked once; a
+    second ``backward`` through any of its nodes raises ``RuntimeError``
+    before any gradient is written.
     """
     if loss.shape != ():
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -693,9 +743,16 @@ def backward(loss: Tensor) -> None:
         seen.add(id(node))
         stack.append((node, True))
         if isinstance(node, _Node):
+            if node.grad_fn is None:
+                raise RuntimeError("backward through a graph that was already walked: "
+                                   "its saved arrays were released")
             stack.extend((p, False) for p in node.parents if p is not None)
 
     grads: dict[int, np.ndarray] = {id(root): np.ones(())}
+    # nodes whose pending gradient is a sum this walk allocated; any other
+    # pending gradient may be an array an op returned (add and reshape pass
+    # their ``g`` on), which must not be written into
+    owned: set[int] = set()
     for node in reversed(topo):
         g = grads.pop(id(node), None)
         if g is None:
@@ -706,14 +763,20 @@ def backward(loss: Tensor) -> None:
                 node.grad = np.zeros_like(node.data)
             node.grad += g
             continue
-        parent_grads = node.grad_fn(g)
+        grad_fn, node.grad_fn = node.grad_fn, None
+        parent_grads = grad_fn(g)
+        del grad_fn, g  # frees what this node saved before the sums below
         for p, pg in zip(node.parents, parent_grads):
             if pg is None or p is None:
                 continue
-            if id(p) in grads:
-                grads[id(p)] = grads[id(p)] + pg
+            key = id(p)
+            if key in owned:
+                grads[key] += pg
+            elif key in grads:
+                grads[key] = grads[key] + pg
+                owned.add(key)
             else:
-                grads[id(p)] = pg
+                grads[key] = pg
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,21 @@ def layer_norm(x, gain, bias, eps=1e-5):
     return gain * (x - mu) / np.sqrt(var + eps) + bias
 
 
+def layer_norm_grads(x, gain, g, eps=1e-5):
+    """(dx, dgain, dbias) of layer_norm's output with upstream ``g``, in the
+    operation order the engine's forward normalizes and its backward reduces:
+    dx = inv * (dxh - mean(dxh) - xh * mean(dxh * xh)), written out longhand.
+    """
+    d = x.shape[-1]
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.square(xc).mean(axis=-1, keepdims=True) + eps)
+    xh = xc * inv
+    dxh = g * gain
+    dx = inv * (dxh - dxh.mean(axis=-1, keepdims=True)
+                - xh * (dxh * xh).mean(axis=-1, keepdims=True))
+    return dx, (g * xh).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
+
+
 def glu(x):
     a, b = np.split(x, 2, axis=-1)
     return a / (1.0 + np.exp(-b))

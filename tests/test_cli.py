@@ -172,6 +172,23 @@ def test_eval_trains_and_scores(tiny_cfg, tmp_path, capsys):
     assert 0.0 <= payload["score"] <= 1.0
 
 
+@pytest.mark.parametrize("command", ["eval", "metrics"])
+@pytest.mark.parametrize("steps", [4, 1])
+def test_diverging_model_is_exit_5(command, steps, tiny_cfg, tmp_path, capsys):
+    # 4 steps: training diverges (TrainingDiverged); 1 step: the one update
+    # leaves non-finite activations for scoring or encoding (NonFiniteError)
+    cfg = json.loads(Path(tiny_cfg).read_text())
+    cfg["trainer"].update(lr=1e200, steps=steps)
+    bad_cfg = tmp_path / "bad.json"
+    bad_cfg.write_text(json.dumps(cfg))
+    spec_path = tmp_path / "std.json"
+    spec_path.write_text(serialize(standard_backbone(2)))
+    assert run(command, spec_path, "--config", bad_cfg, "--out-dir", tmp_path / "o") == 5
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("error: ")
+
+
 def test_eval_corrupted_spec_is_exit_4(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"version": 1, "layers": [{"type": "dense"}]}')

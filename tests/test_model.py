@@ -286,6 +286,36 @@ def test_training_peak_memory_does_not_grow_with_steps():
     assert three <= 1.1 * one, (one, three)
 
 
+def test_backward_peak_above_the_forward_stays_below_half_the_parameters():
+    # a walk that released nothing would hold the whole graph next to every
+    # gradient, so its peak above the forward's level is at least the
+    # parameters' bytes; released as it walks, the graph shrinks as fast as
+    # the gradients grow
+    config = ModelConfig(num_layers=6, d_model=64, n_heads=4, seq_len=16)
+    corpus = synth_corpus(seed=0, size=16, vocab=config.vocab, seq_len=config.seq_len)
+    model = build_model(standard_backbone(config.num_layers), config, rng=0)
+    rng = np.random.default_rng(0)
+    ids, masks = map(np.stack, zip(*(mask_tokens(seq, rng, config.vocab)
+                                     for seq in corpus.train[:4])))
+    param_bytes = sum(p.data.nbytes for p in model.parameters())
+    tracemalloc.start()
+    try:
+        loss = T.masked_cross_entropy(model.forward(ids), corpus.train[:4], masks)
+        after_forward = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        T.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - after_forward < param_bytes / 2, (peak - after_forward, param_bytes)
+
+
+def test_mlm_pretrain_leaves_no_gradients(tiny_config, tiny_corpus):
+    model = build_model(autobert_zero_backbone(tiny_config.num_layers), tiny_config, rng=0)
+    mlm_pretrain(model, tiny_corpus, 2, OptimConfig(batch_size=4), rng=0)
+    assert all(p.grad is None for p in model.parameters())
+
+
 # softmax(q k^T) v, plus a dead logsigmoid(p) -> euclidean branch: p is
 # declared and has a projection, but no live node reads it
 DEAD_CODE_DAG = AttentionDag(("q", "k", "v", "p"), (
@@ -561,3 +591,24 @@ def test_logits_and_first_loss_equal_per_head_model(tag, per_head):
     assert losses[0] == want[0]
     # later steps may differ by float reassociation of the summed head gradients
     assert np.abs(np.array(losses) - want).max() < 1e-12
+
+
+# a training fingerprint: bit-exact losses and final weights of a short run,
+# written by an earlier commit (tests/data/README.md), so a kernel change
+# cannot drift the training arithmetic unnoticed
+
+FINGERPRINT_CONFIG = ModelConfig(num_layers=2, d_model=16, n_heads=2, vocab=32, seq_len=16)
+
+
+@pytest.mark.parametrize("tag,backbone", [("autobert_zero", autobert_zero_backbone),
+                                          ("standard", standard_backbone)])
+def test_training_equals_the_pinned_fingerprint(tag, backbone):
+    corpus = synth_corpus(seed=0, size=32, vocab=32, seq_len=16)
+    model = build_model(backbone(2), FINGERPRINT_CONFIG, rng=0)
+    _, losses = mlm_pretrain(model, corpus, 3, OptimConfig(batch_size=4, warmup=2), rng=0)
+    with np.load(Path(__file__).parent / "data" / "training_fingerprint.npz") as f:
+        want = {k[len(tag) + 1:]: f[k] for k in f.files if k.startswith(f"{tag}/")}
+    assert np.array_equal(np.array(losses), want.pop("losses"))
+    assert set(want) == set(model.params)
+    for name, p in model.params.items():
+        assert np.array_equal(p.data, want[name]), name

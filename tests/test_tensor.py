@@ -231,6 +231,78 @@ def test_layer_norm_gradients_and_forward(rng):
     assert np.allclose(got, oracles.layer_norm(x, g, b), atol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(4, 6), (3, 4, 6)])
+def test_layer_norm_gradient_equals_longhand_bit_for_bit(shape, rng):
+    x, gain, bias = rng.normal(size=shape), rng.normal(size=6), rng.normal(size=6)
+    g = rng.normal(size=shape)
+    leaves = [T.Tensor(a, requires_grad=True) for a in (x, gain, bias)]
+    # sum(y * g) hands layer_norm's backward exactly g
+    T.backward(T.tensor_sum(T.mul(T.layer_norm(*leaves), T.Tensor(g))))
+    for leaf, want in zip(leaves, oracles.layer_norm_grads(x, gain, g)):
+        assert np.array_equal(leaf.grad, want)
+
+
+FFN_SHAPES = [(5, 4), (3, 5, 4)]
+
+
+def three_op_ffn(x, w1, w2):
+    return T.matmul(T.softsign(T.matmul(x, w1)), w2)
+
+
+@pytest.mark.parametrize("shape", FFN_SHAPES)
+def test_feed_forward_equals_three_ops_bit_for_bit(shape, rng):
+    arrays = [rng.normal(size=shape), rng.normal(size=(4, 16)), rng.normal(size=(16, 4))]
+    w = rng.normal(size=shape)
+
+    def run(op):
+        leaves = [T.Tensor(a, requires_grad=True) for a in arrays]
+        out = op(*leaves)
+        # the residual add gives x a second gradient, summed in the model's order
+        T.backward(T.tensor_sum(T.mul(T.add(leaves[0], out), T.Tensor(w))))
+        return out.data, [leaf.grad for leaf in leaves]
+
+    got, want = run(T.feed_forward), run(three_op_ffn)
+    assert np.array_equal(got[0], want[0])
+    assert all(np.array_equal(a, b) for a, b in zip(got[1], want[1]))
+
+
+@pytest.mark.parametrize("shape", FFN_SHAPES)
+def test_feed_forward_gradients_and_forward(shape, rng):
+    x, w1, w2 = rng.normal(size=shape), rng.normal(size=(4, 16)), rng.normal(size=(16, 4))
+    check_grad(lambda ts: T.feed_forward(*ts), [x, w1, w2])
+    got = T.feed_forward(T.Tensor(x), T.Tensor(w1), T.Tensor(w2)).data
+    assert np.allclose(got, oracles.softsign(x @ w1) @ w2, atol=1e-12)
+
+
+def test_feed_forward_rejects_bad_shapes(rng):
+    def ff(sx, s1, s2):
+        return T.feed_forward(*(T.Tensor(rng.normal(size=s)) for s in (sx, s1, s2)))
+
+    assert ff((2, 5, 4), (4, 8), (8, 3)).shape == (2, 5, 3)
+    for shapes in [((4,), (4, 8), (8, 4)),          # rank-1 input
+                   ((5, 4), (1, 4, 8), (8, 4)),     # rank-3 weight
+                   ((5, 4), (4, 8), (8,)),          # rank-1 weight
+                   ((5, 3), (4, 8), (8, 4)),        # x and w1 differ
+                   ((5, 4), (4, 8), (7, 4))]:       # w1 and w2 differ
+        with pytest.raises(T.ShapeError):
+            ff(*shapes)
+
+
+def test_feed_forward_checks_every_stage_finite(rng, monkeypatch):
+    x, w1, w2 = np.full((2, 3), 1e200), np.full((3, 4), 1e200), np.ones((4, 2))
+    with np.errstate(over="ignore"), pytest.raises(T.NonFiniteError, match="^matmul"):
+        T.feed_forward(T.Tensor(x), T.Tensor(w1), T.Tensor(w2))  # x @ w1 overflows
+    x, w1, w2 = np.ones((2, 3)), np.ones((3, 4)), np.full((4, 2), 1e308)
+    with np.errstate(over="ignore"), pytest.raises(T.NonFiniteError, match="^matmul"):
+        T.feed_forward(T.Tensor(x), T.Tensor(w1), T.Tensor(w2))  # the output overflows
+    # softsign of a finite h is finite (|s| < 1); only a faulty denominator
+    # reaches its check
+    monkeypatch.setattr(T.np, "abs", lambda a: np.full_like(a, -1.0))
+    with np.errstate(divide="ignore", invalid="ignore"), \
+            pytest.raises(T.NonFiniteError, match="^softsign"):
+        T.feed_forward(T.Tensor(x), T.Tensor(w1), T.Tensor(np.ones((4, 2))))
+
+
 def test_masked_cross_entropy_matches_reference(rng):
     logits = rng.normal(size=(6, 10))
     targets = rng.integers(0, 10, size=6)
@@ -499,6 +571,48 @@ def test_op_output_no_backward_reads_is_freed_while_loss_lives(rng):
     # the gradient the tape computes in this order: w, -w, then -w * c
     want = (-(w * np.ones((2, 3)))) * (1.0 / np.sqrt(3))
     assert np.array_equal(a.grad, want) and np.array_equal(b.grad, want)
+
+
+def test_backward_frees_saved_arrays_while_loss_lives(rng):
+    x = T.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    h = T.neg(x)
+    saved = weakref.ref(h.data)  # mul's backward reads it
+    loss = T.tensor_sum(T.mul(h, T.Tensor(rng.normal(size=(2, 3)))))
+    del h
+    assert saved() is not None
+    T.backward(loss)
+    assert saved() is None
+
+
+def test_second_backward_through_a_walked_graph_raises(rng):
+    x = T.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+    y = T.neg(x)
+    first, second = T.tensor_sum(y), T.tensor_sum(T.scale(y))
+    T.backward(first)
+    grad = x.grad.copy()
+    for loss in (first, second):  # the same loss, and one that shares y's node
+        with pytest.raises(RuntimeError, match="already walked"):
+            T.backward(loss)
+        assert np.array_equal(x.grad, grad)  # nothing written
+
+
+def test_repeated_gradient_sums_without_writing_op_outputs(rng):
+    x = T.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    y = T.neg(x)
+    s = T.add(T.add(y, y), y)  # y's gradient arrives three times
+    handed = []
+    outer = s._node.grad_fn
+
+    def recording(g):
+        handed.append((g, g.copy()))
+        return outer(g)  # add passes this very array on, to y and to the inner add
+
+    s._node.grad_fn = recording
+    w = rng.normal(size=(2, 3))
+    T.backward(T.tensor_sum(T.mul(s, T.Tensor(w))))
+    [(g, before)] = handed
+    assert np.array_equal(g, before)
+    assert np.array_equal(x.grad, -((g + g) + g))
 
 
 def test_backward_requires_scalar(rng):
