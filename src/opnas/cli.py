@@ -10,6 +10,13 @@ Exit codes: 0 ok, 2 config error, 3 checkpoint error, 4 spec error,
 5 data error (also a search whose three batches in a row scored nothing,
 and an eval or metrics run whose model diverges or turns non-finite).
 
+Every command that trains goes through one evaluator,
+``opnas.supernet.BiwsEvaluator``, seeded by (seed, candidate id): ``search``
+scores candidate i, ``eval`` scores its spec as a search with that seed
+scores candidate 0, and ``metrics`` trains seed s as candidate s. With
+``--biws`` the weights start from a supernet checkpoint, whose config must
+equal the run config (exit 3 otherwise); ``eval`` never writes it back.
+
 Search histories written by this command record wall_ms = 0.0: the run
 artifacts are specified to be byte-identical for a fixed seed, which real
 timing cannot satisfy. Library callers get real timing by default.
@@ -27,8 +34,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from opnas.evolution import (
     CheckpointError,
     EvaluationFailed,
@@ -39,16 +44,7 @@ from opnas.evolution import (
     vanilla_ea,
 )
 from opnas.metrics import uniformity_report
-from opnas.model import (
-    MlmEvaluator,
-    ModelConfig,
-    OptimConfig,
-    TrainingDiverged,
-    build_model,
-    mlm_pretrain,
-    proxy_evaluate,
-    synth_corpus,
-)
+from opnas.model import ModelConfig, OptimConfig, TrainingDiverged, synth_corpus
 from opnas.search_space import (
     SpecParseError,
     autobert_zero_backbone,
@@ -59,12 +55,10 @@ from opnas.search_space import (
     standard_backbone,
     validate,
 )
-from opnas.supernet import BiwsEvaluator, Supernet, init_candidate, init_supernet
+from opnas.supernet import BiwsEvaluator, Supernet, init_supernet
 from opnas.tensor import NonFiniteError
 
 __all__ = ["main"]
-
-log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -217,6 +211,17 @@ def _load_spec(path: str):
     return spec
 
 
+def _load_supernet(path, model_config: ModelConfig) -> Supernet:
+    try:
+        supernet = Supernet.load(path)
+    except (OSError, ValueError, KeyError) as e:
+        raise CliError(EXIT_CHECKPOINT, f"bad supernet checkpoint: {e}") from None
+    if supernet.config != model_config:
+        raise CliError(EXIT_CHECKPOINT,
+                       "supernet checkpoint config differs from run config")
+    return supernet
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -231,24 +236,16 @@ def cmd_search(args) -> int:
     optim = _optim(resolved)
     steps = resolved["trainer"]["steps"]
 
+    source, biws_path = model_config, None
     if args.biws:
         biws_path = Path(args.biws)
         if biws_path.exists():
-            try:
-                supernet = Supernet.load(biws_path)
-            except (OSError, ValueError, KeyError) as e:
-                raise CliError(EXIT_CHECKPOINT, f"bad supernet checkpoint: {e}") from None
-            if supernet.config != model_config:
-                raise CliError(EXIT_CHECKPOINT,
-                               "supernet checkpoint config differs from run config")
+            source = _load_supernet(biws_path, model_config)
         else:
-            supernet = init_supernet(model_config, search_config.seed)
-            supernet.save(biws_path)
-        evaluator = BiwsEvaluator(supernet, corpus, steps=steps, optim=optim,
-                                  seed=search_config.seed, save_path=biws_path)
-    else:
-        evaluator = MlmEvaluator(model_config, corpus, steps=steps, optim=optim,
-                                 seed=search_config.seed)
+            source = init_supernet(model_config, search_config.seed)
+            source.save(biws_path)
+    evaluator = BiwsEvaluator(source, corpus, steps=steps, optim=optim,
+                              seed=search_config.seed, save_path=biws_path)
 
     algo = {"op": search, "ea": vanilla_ea, "rs": random_search}[args.baseline]
     try:
@@ -282,28 +279,17 @@ def cmd_eval(args) -> int:
     warnings = backbone_warnings(spec)
     if warnings:
         result["warnings"] = warnings
+    # a dry run checks the checkpoint too
+    source = _load_supernet(args.biws, model_config) if args.biws else model_config
     if not args.dry_run:
         out = _out_dir(resolved)
         _write_resolved(resolved, out)
-        corpus = _corpus(resolved)
-        optim = _optim(resolved)
-        steps = resolved["trainer"]["steps"]
-        seed = resolved["search"]["seed"]
-        if args.biws:
-            try:
-                supernet = Supernet.load(args.biws)
-            except (OSError, ValueError, KeyError) as e:
-                raise CliError(EXIT_CHECKPOINT, f"bad supernet checkpoint: {e}") from None
-            try:
-                params = init_candidate(supernet, spec)
-            except ValueError as e:
-                raise CliError(EXIT_CONFIG, str(e)) from None
-            model = build_model(spec, supernet.config, params=params)
-        else:
-            model = build_model(spec, model_config, rng=np.random.default_rng(seed))
+        # scored exactly as a search with this seed scores candidate 0
+        evaluator = BiwsEvaluator(source, _corpus(resolved),
+                                  steps=resolved["trainer"]["steps"],
+                                  optim=_optim(resolved), seed=resolved["search"]["seed"])
         try:
-            mlm_pretrain(model, corpus, steps, optim, np.random.default_rng(seed))
-            result["score"] = proxy_evaluate(model, corpus.heldout).value
+            result["score"] = evaluator(spec, 0).score
         except (TrainingDiverged, NonFiniteError) as e:
             raise CliError(EXIT_DATA, f"evaluation failed: {e}") from None
     print(json.dumps(result, indent=2))
@@ -336,19 +322,17 @@ def cmd_metrics(args) -> int:
     corpus = _corpus(resolved)
     optim = _optim(resolved)
     steps = resolved["trainer"]["steps"]
-    seeds = resolved["metrics"]["seeds"]
-    base_seed = resolved["search"]["seed"]
 
     rows = []
     for path in args.specs:
         spec = _load_spec(path)
         spec_config = dataclasses.replace(model_config, num_layers=len(spec.layers))
+        evaluator = BiwsEvaluator(spec_config, corpus, steps=steps, optim=optim,
+                                  seed=resolved["search"]["seed"])
         tag = Path(path).stem
-        for s in range(seeds):
-            rng = np.random.default_rng([base_seed, s])
-            model = build_model(spec, spec_config, rng=rng)
+        for s in range(resolved["metrics"]["seeds"]):
             try:
-                mlm_pretrain(model, corpus, steps, optim, rng)
+                model = evaluator.train(spec, s)
                 report = uniformity_report([(tag, model)], corpus.heldout)[0]
             except (TrainingDiverged, NonFiniteError) as e:
                 raise CliError(EXIT_DATA, f"{tag} seed {s}: {e}") from None

@@ -23,14 +23,17 @@ bigram template with probability 0.8 (local structure a small conv can
 exploit) and carry one long-range sentinel pair per sequence (an opener
 token early, its matching closer late) so attention capacity matters too.
 The proxy score consumed by the search loop is masked-token accuracy on
-the heldout split under a fixed, content-keyed evaluation mask.
+the heldout split under a fixed, content-keyed evaluation mask. Search
+candidates, ``opnas eval`` and ``opnas metrics`` go through
+``opnas.supernet.BiwsEvaluator``, which pairs ``build_model`` with
+``mlm_pretrain`` for fresh and supernet-extracted weights alike.
+``init_param`` is the one fresh-weight rule, shared with the supernet.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -67,16 +70,14 @@ __all__ = [
     "ProxyScore",
     "TrainingDiverged",
     "Model",
+    "init_param",
     "build_model",
     "synth_corpus",
     "bigram_successor",
     "mask_tokens",
     "mlm_pretrain",
     "proxy_evaluate",
-    "MlmEvaluator",
 ]
-
-log = logging.getLogger(__name__)
 
 MASK_ID = 0
 N_SENTINEL_PAIRS = 4  # openers 1..4 pair with closers 5..8
@@ -299,6 +300,22 @@ class Model:
                           p[f"layer{i}.ln_conv.gain"], p[f"layer{i}.ln_conv.bias"])
 
 
+def init_param(key: str, shape: tuple, rng: np.random.Generator) -> np.ndarray:
+    """Fresh value of one ``param_shapes`` entry, model parameter or store key.
+
+    Layer-norm gains are 1 and biases 0, a supernet's ``.conv.transform.{k}``
+    is the identity (a model's table has no such key), and anything else is
+    drawn from ``rng`` as normal(0, INIT_STD).
+    """
+    if key.endswith(".gain"):
+        return np.ones(shape)
+    if key.endswith(".bias"):
+        return np.zeros(shape)
+    if ".conv.transform." in key:
+        return np.eye(shape[0])
+    return rng.normal(0.0, INIT_STD, size=shape)
+
+
 def build_model(spec: BackboneSpec, config: ModelConfig,
                 params: Mapping[str, np.ndarray] | None = None,
                 rng: np.random.Generator | int = 0) -> Model:
@@ -306,8 +323,8 @@ def build_model(spec: BackboneSpec, config: ModelConfig,
 
     With ``params`` (e.g. a supernet extraction) arrays are copied in and
     validated against the spec; a dag input with no matching projection is
-    a hard error. Fresh initialization is scaled-normal (std 0.02) with
-    layer-norm gains 1 and biases 0, drawn in ``param_shapes`` order.
+    a hard error. Fresh weights come from ``init_param``, drawn in
+    ``param_shapes`` order.
     """
     if len(spec.layers) != config.num_layers:
         raise ValueError(f"spec has {len(spec.layers)} layers, config expects "
@@ -340,12 +357,7 @@ def build_model(spec: BackboneSpec, config: ModelConfig,
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     for name, shape in param_shapes(config, spec).items():
-        if name.endswith(".gain"):
-            built[name] = Parameter(np.ones(shape), name=name)
-        elif name.endswith(".bias"):
-            built[name] = Parameter(np.zeros(shape), name=name)
-        else:
-            built[name] = Parameter(rng.normal(0.0, INIT_STD, size=shape), name=name)
+        built[name] = Parameter(init_param(name, shape, rng), name=name)
     return Model(spec, config, built)
 
 
@@ -435,24 +447,3 @@ def proxy_evaluate(model: Model, heldout: np.ndarray, mask_seed: int = 0) -> Pro
         correct += int((pred == heldout[chunk])[masks[chunk]].sum())
     value = correct / int(masks.sum())
     return ProxyScore(value=value, components={"masked_token_accuracy": value})
-
-
-class MlmEvaluator:
-    """Search evaluator training each candidate from scratch.
-
-    Deterministic per (seed, candidate id); safe to run in a process pool.
-    """
-
-    def __init__(self, config: ModelConfig, corpus: Corpus, steps: int = 100,
-                 optim: OptimConfig | None = None, seed: int = 0):
-        self.config = config
-        self.corpus = corpus
-        self.steps = steps
-        self.optim = optim or OptimConfig()
-        self.seed = seed
-
-    def __call__(self, spec: BackboneSpec, candidate_id: int) -> float:
-        rng = np.random.default_rng([self.seed, candidate_id])
-        model = build_model(spec, self.config, rng=rng)
-        mlm_pretrain(model, self.corpus, self.steps, self.optim, rng)
-        return proxy_evaluate(model, self.corpus.heldout).value

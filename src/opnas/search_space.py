@@ -23,13 +23,12 @@ separate rng streams stay deterministic.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import functools
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from opnas.tensor import Tensor, apply_binary, apply_unary

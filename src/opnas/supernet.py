@@ -18,6 +18,14 @@ supernet is the only weight set that outlives its candidate.
 Store keys and shapes are ``opnas.search_space.param_shapes(config)``, the
 table models are built from, so a model parameter and its store entry
 share one name and one shape and are copied across without reshaping.
+A fresh store draws every entry with ``opnas.model.init_param``, the rule
+a fresh model uses.
+
+``BiwsEvaluator`` is the one candidate evaluator of the package: searches,
+``opnas eval`` and ``opnas metrics`` all train through its ``train``. Its
+weight source is either a supernet (extraction in, write-back after each
+iteration) or a ``ModelConfig`` (fresh weights, nothing kept); either
+way one generator keyed by (seed, candidate id) drives the candidate.
 
 Write-back keeps the stored 65-kernel the single source of truth: the
 candidate trains the transform T and the slice S jointly (its effective
@@ -43,9 +51,12 @@ import numpy as np
 
 from opnas.evolution import EvalResult
 from opnas.model import (
+    Corpus,
+    Model,
     ModelConfig,
     OptimConfig,
     build_model,
+    init_param,
     mlm_pretrain,
     proxy_evaluate,
 )
@@ -73,7 +84,6 @@ log = logging.getLogger(__name__)
 
 CENTER_INDEX = (MAX_KERNEL - 1) // 2
 
-INIT_STD = 0.02
 COND_LIMIT = 1e8
 
 CHECKPOINT_VERSION = 1
@@ -142,19 +152,11 @@ class Supernet:
 
 
 def init_supernet(config: ModelConfig, rng: np.random.Generator | int = 0) -> Supernet:
-    """Fresh supernet: scaled-normal weights (std 0.02), identity transforms."""
+    """Fresh supernet: ``init_param`` for every store key, in declared order."""
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    store: dict[str, np.ndarray] = {}
-    for key, shape in param_shapes(config).items():
-        if key.endswith(".gain"):
-            store[key] = np.ones(shape)
-        elif key.endswith(".bias"):
-            store[key] = np.zeros(shape)
-        elif ".conv.transform." in key:
-            store[key] = np.eye(shape[0])
-        else:
-            store[key] = rng.normal(0.0, INIT_STD, size=shape)
+    store = {key: init_param(key, shape, rng)
+             for key, shape in param_shapes(config).items()}
     versions = [0] * config.num_layers
     return Supernet(config, store, versions, rng.bit_generator.state)
 
@@ -285,41 +287,58 @@ def _write_back_candidate(sn: Supernet, spec: BackboneSpec,
 
 
 class BiwsEvaluator:
-    """Search evaluator that trains supernet-initialized candidates.
+    """Search evaluator: trains each candidate briefly and scores it.
 
-    Each call builds the spec's model from a supernet extraction,
-    fine-tunes it for ``steps`` on the corpus, scores heldout masked-token
-    accuracy, and returns the trained model's own arrays as the payload.
-    After every iteration the search loop hands ``on_iteration_end`` the
-    iteration's best child, whose weights are written back (and the
-    supernet is checkpointed when ``save_path`` is set). Training
-    randomness is keyed by (seed, candidate id), so scores are
-    reproducible and parallel evaluation matches serial.
+    The first argument is the weight source. A ``Supernet`` initializes
+    each candidate by extraction (``init_candidate``), the trained arrays
+    come back as the payload, and ``on_iteration_end`` writes the
+    iteration's best child back (checkpointing the supernet when
+    ``save_path`` is set). A ``ModelConfig`` trains each candidate from
+    fresh weights; the payload is None and the hook does nothing.
+    Either way ``train`` keys all randomness by (seed, candidate id), so
+    scores are reproducible and parallel evaluation matches serial.
     """
 
-    def __init__(self, supernet: Supernet, corpus, steps: int = 100,
-                 optim: OptimConfig | None = None, seed: int = 0,
+    def __init__(self, source: Supernet | ModelConfig, corpus: Corpus,
+                 steps: int = 100, optim: OptimConfig | None = None, seed: int = 0,
                  save_path: str | Path | None = None):
-        self.supernet = supernet
+        self.supernet = source if isinstance(source, Supernet) else None
+        if self.supernet is None and save_path is not None:
+            raise ValueError("save_path needs a supernet weight source")
+        self.config = source.config if self.supernet is not None else source
         self.corpus = corpus
         self.steps = steps
         self.optim = optim or OptimConfig()
         self.seed = seed
         self.save_path = Path(save_path) if save_path else None
 
-    def __call__(self, spec: BackboneSpec, candidate_id: int) -> EvalResult:
-        model = build_model(spec, self.supernet.config,
-                            params=init_candidate(self.supernet, spec))
+    def train(self, spec: BackboneSpec, candidate_id: int) -> Model:
+        """Build ``spec`` from the weight source and pretrain it.
+
+        One generator, ``default_rng([seed, candidate_id])``, draws fresh
+        weights (from scratch only) and then the training batches and masks.
+        """
         rng = np.random.default_rng([self.seed, candidate_id])
+        if self.supernet is None:
+            model = build_model(spec, self.config, rng=rng)
+        else:
+            model = build_model(spec, self.config,
+                                params=init_candidate(self.supernet, spec))
         mlm_pretrain(model, self.corpus, self.steps, self.optim, rng)
+        return model
+
+    def __call__(self, spec: BackboneSpec, candidate_id: int) -> EvalResult:
+        model = self.train(spec, candidate_id)
         score = proxy_evaluate(model, self.corpus.heldout)
+        if self.supernet is None:
+            return EvalResult(score.value)
         # the model is dropped on return, so its arrays need no copy
         return EvalResult(score.value,
                           payload={name: p.data for name, p in model.params.items()})
 
     def on_iteration_end(self, iteration: int, best) -> None:
         """Write back ``best``, the iteration's [(candidate, payload)] or []."""
-        if not best:
+        if self.supernet is None or not best:
             return
         [(cand, trained)] = best
         _write_back_candidate(self.supernet, cand.spec, trained)

@@ -1,5 +1,6 @@
 """End-to-end command behavior through main(argv)."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -8,8 +9,14 @@ import pytest
 
 from opnas.cli import main
 from opnas.evolution import read_history
-from opnas.search_space import deserialize, serialize, standard_backbone
-from opnas.supernet import Supernet
+from opnas.model import ModelConfig, OptimConfig, synth_corpus
+from opnas.search_space import (
+    autobert_zero_backbone,
+    deserialize,
+    serialize,
+    standard_backbone,
+)
+from opnas.supernet import BiwsEvaluator, Supernet, init_supernet
 
 
 @pytest.fixture
@@ -172,6 +179,57 @@ def test_eval_trains_and_scores(tiny_cfg, tmp_path, capsys):
     assert 0.0 <= payload["score"] <= 1.0
 
 
+@pytest.mark.parametrize("source", ["scratch", "biws"])
+def test_eval_scores_the_spec_as_search_candidate_0(source, tiny_cfg, tmp_path, capsys):
+    # a larger heldout split and a higher rate than tiny_cfg's, so that the
+    # score is not 0 and candidates 0 and 1 score apart
+    cfg = json.loads(Path(tiny_cfg).read_text())
+    cfg["corpus"]["size"] = 64
+    cfg["trainer"].update(steps=8, lr=3e-2)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    config = ModelConfig(**cfg["model"])
+    spec = autobert_zero_backbone(2)
+    spec_path = tmp_path / "hybrid.json"
+    spec_path.write_text(serialize(spec))
+    flags, weights = [], config
+    if source == "biws":
+        ckpt = tmp_path / "sn.npz"
+        init_supernet(config, 5).save(ckpt)
+        flags, weights = ["--biws", ckpt], Supernet.load(ckpt)
+    inputs = {p: p.read_bytes() for p in (spec_path, *flags[1:])}
+    assert run("eval", spec_path, "--config", cfg_path, "--out-dir", tmp_path / "e",
+               *flags) == 0
+    score = json.loads(capsys.readouterr().out)["score"]
+    assert 0.0 <= score <= 1.0
+    # the command never modifies its inputs
+    assert all(p.read_bytes() == data for p, data in inputs.items())
+    corpus = synth_corpus(seed=cfg["search"]["seed"], size=cfg["corpus"]["size"],
+                          vocab=config.vocab, seq_len=config.seq_len)
+    trainer = cfg["trainer"]
+    evaluator = BiwsEvaluator(weights, corpus, steps=trainer["steps"],
+                              optim=OptimConfig(lr=trainer["lr"],
+                                                batch_size=trainer["batch_size"],
+                                                warmup=trainer["warmup"]),
+                              seed=cfg["search"]["seed"])
+    assert score == evaluator(spec, 0).score
+    assert score != evaluator(spec, 1).score
+
+
+@pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["train", "dry-run"])
+def test_eval_biws_of_another_width_is_exit_3(dry_run, tiny_cfg, tmp_path, capsys):
+    cfg = json.loads(Path(tiny_cfg).read_text())
+    wide = ModelConfig(**{**cfg["model"], "d_model": 32})
+    ckpt = tmp_path / "sn.npz"
+    init_supernet(wide, 0).save(ckpt)
+    spec_path = tmp_path / "std.json"
+    spec_path.write_text(serialize(standard_backbone(2)))
+    assert run("eval", spec_path, "--config", tiny_cfg, "--out-dir", tmp_path / "e",
+               "--biws", ckpt, *dry_run) == 3
+    assert capsys.readouterr().err.strip() == \
+        "error: supernet checkpoint config differs from run config"
+
+
 @pytest.mark.parametrize("command", ["eval", "metrics"])
 @pytest.mark.parametrize("steps", [4, 1])
 def test_diverging_model_is_exit_5(command, steps, tiny_cfg, tmp_path, capsys):
@@ -315,3 +373,46 @@ def test_plot_data_malformed_is_exit_5(tmp_path):
 def test_plot_data_missing_file_is_exit_5(tmp_path):
     assert run("plot-data", tmp_path / "absent.jsonl",
                "--out-dir", tmp_path / "p") == 5
+
+
+# ---------------------------------------------------------------------------
+# pinned run bytes
+
+RUN_FINGERPRINT = Path(__file__).parent / "data" / "run_fingerprint.json"
+
+
+def run_fingerprint(cfg: dict, work: Path) -> dict:
+    """sha256 of every file a tiny search, BIWS search and metrics run keep.
+
+    The recipe behind ``tests/data/run_fingerprint.json``; see the README
+    there.
+    """
+    work.mkdir(parents=True, exist_ok=True)
+    cfg_path = work / "tiny.json"
+    cfg_path.write_text(json.dumps({**cfg, "metrics": {"seeds": 2}}))
+    (work / "std.json").write_text(serialize(standard_backbone(2)))
+    (work / "hybrid.json").write_text(serialize(autobert_zero_backbone(2)))
+    commands = {
+        "search": ("search", "--baseline", "op"),
+        "search-biws": ("search", "--baseline", "op",
+                        "--biws", work / "search-biws" / "sn.npz"),
+        "metrics": ("metrics", work / "std.json", work / "hybrid.json"),
+    }
+    kept = {
+        "search": ("history.jsonl", "checkpoint.json", "best.json"),
+        "search-biws": ("history.jsonl", "checkpoint.json", "best.json", "sn.npz"),
+        "metrics": ("uniformity.csv",),
+    }
+    digests = {}
+    for name, argv in commands.items():
+        out = work / name
+        assert run(*argv, "--config", cfg_path, "--out-dir", out) == 0, name
+        digests[name] = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+                         for f in kept[name]}
+    return digests
+
+
+def test_runs_equal_the_pinned_fingerprint(tiny_cfg, tmp_path):
+    cfg = json.loads(Path(tiny_cfg).read_text())
+    assert run_fingerprint(cfg, tmp_path / "runs") == \
+        json.loads(RUN_FINGERPRINT.read_text())

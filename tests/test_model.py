@@ -19,7 +19,6 @@ from opnas.model import (
     MASK_ID,
     PROXY_CHUNK,
     Corpus,
-    MlmEvaluator,
     ModelConfig,
     OptimConfig,
     bigram_successor,
@@ -520,18 +519,6 @@ def test_untrained_accuracy_near_chance(tiny_config, tiny_corpus):
     model = build_model(spec, tiny_config, rng=5)
     score = proxy_evaluate(model, tiny_corpus.heldout)
     assert score.value < 0.2
-
-
-def test_evaluator_protocol(tiny_config, tiny_corpus):
-    ev = MlmEvaluator(tiny_config, tiny_corpus, steps=4,
-                      optim=OptimConfig(batch_size=4, warmup=2), seed=0)
-    spec = standard_backbone(tiny_config.num_layers)
-    s1 = ev(spec, candidate_id=3)
-    s2 = ev(spec, candidate_id=3)
-    assert s1 == s2
-    assert 0.0 <= float(s1) <= 1.0
-    other = ev(spec, candidate_id=4)
-    assert isinstance(float(other), float)
 
 
 def test_config_validation():

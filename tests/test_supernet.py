@@ -274,6 +274,30 @@ def test_evaluator_is_deterministic_per_candidate(config, corpus):
     assert scores[0] == scores[1]
 
 
+def test_evaluator_from_scratch_protocol(tiny_config, tiny_corpus, tmp_path):
+    ev = BiwsEvaluator(tiny_config, tiny_corpus, steps=4,
+                       optim=OptimConfig(batch_size=4, warmup=2), seed=0)
+    spec = standard_backbone(tiny_config.num_layers)
+    s1 = ev(spec, candidate_id=3)
+    s2 = ev(spec, candidate_id=3)
+    assert s1 == s2
+    assert 0.0 <= s1.score <= 1.0
+    assert s1.payload is None
+    other = ev(spec, candidate_id=4)
+    assert isinstance(other.score, float)
+    # fresh weights and training share one generator keyed by (seed, id)
+    rng = np.random.default_rng([0, 3])
+    model = build_model(spec, tiny_config, rng=rng)
+    mlm_pretrain(model, tiny_corpus, 4, OptimConfig(batch_size=4, warmup=2), rng)
+    trained = ev.train(spec, 3)
+    assert all(np.array_equal(p.data, trained.params[name].data)
+               for name, p in model.params.items())
+    ev.on_iteration_end(0, [(Candidate(3, spec, s1.score), None)])
+    # no store to write back to, so nowhere to save one
+    with pytest.raises(ValueError):
+        BiwsEvaluator(tiny_config, tiny_corpus, save_path=tmp_path / "sn.npz")
+
+
 def test_evaluator_writes_best_only(config, corpus):
     # the search loop hands the hook its batch's best child alone: 1 ties
     # with 2 and wins on the lower id; each child's trained embedding is
