@@ -31,6 +31,7 @@ import json
 import logging
 import os
 import sys
+import zipfile
 from dataclasses import asdict
 from pathlib import Path
 
@@ -214,7 +215,8 @@ def _load_spec(path: str):
 def _load_supernet(path, model_config: ModelConfig) -> Supernet:
     try:
         supernet = Supernet.load(path)
-    except (OSError, ValueError, KeyError) as e:
+    # a cut-short file is no zip (BadZipFile), an empty one no npy (EOFError)
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as e:
         raise CliError(EXIT_CHECKPOINT, f"bad supernet checkpoint: {e}") from None
     if supernet.config != model_config:
         raise CliError(EXIT_CHECKPOINT,
@@ -241,6 +243,11 @@ def cmd_search(args) -> int:
         biws_path = Path(args.biws)
         if biws_path.exists():
             source = _load_supernet(biws_path, model_config)
+        elif args.resume:
+            # fresh weights would make the resumed history differ from an
+            # uninterrupted run's
+            raise CliError(EXIT_CHECKPOINT, f"cannot resume: no supernet checkpoint "
+                                            f"at {biws_path}")
         else:
             source = init_supernet(model_config, search_config.seed)
             source.save(biws_path)
@@ -398,7 +405,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, help="parallel evaluation workers")
     p.add_argument("--biws", metavar="CHECKPOINT",
                    help="evaluate with supernet weight sharing; path is loaded "
-                        "if present, else initialized and saved there")
+                        "if present, else initialized and saved there (a "
+                        "--resume needs it present)")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("eval", help="validate and score one spec file")

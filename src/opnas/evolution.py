@@ -166,6 +166,8 @@ class SearchConfig:
             raise ValueError("alpha must be >= 0")
         if self.children_per_parent < 1 or self.max_iterations < 0:
             raise ValueError("children_per_parent >= 1 and max_iterations >= 0")
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
 
     # fields that must match between a checkpoint and a resuming config
     _RESUME_FIELDS = ("population_size", "k", "alpha", "children_per_parent",
@@ -349,7 +351,7 @@ def _make_child(parent: BackboneSpec, stats: UcbStats, op_dists: DistFn,
                 rng: random.Random, max_len: int) -> BackboneSpec:
     """Inter-layer mutation followed by one intra-layer edit."""
     spec = mutate_inter(parent, lambda li: kernel_distribution(stats, li), rng, max_len)
-    att = [i for i, l in enumerate(spec.layers) if l.kind == "attention"]
+    att = spec.attention_indices
     if not att:
         return spec
     li = rng.choice(att)

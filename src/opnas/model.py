@@ -32,7 +32,7 @@ candidates, ``opnas eval`` and ``opnas metrics`` go through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -54,7 +54,7 @@ from opnas.tensor import (
     masked_cross_entropy,
     matmul,
     merge_heads,
-    mul_const,  # unused here: perfbench/spans.py wraps model.mul_const by name
+    mul_const,  # no caller in src: perfbench/spans.py wraps model.mul_const by name
     reshape,
     softsign,  # unused here: perfbench/spans.py wraps model.softsign by name
     transpose,
@@ -120,14 +120,7 @@ class ModelConfig:
         return self.d_model // self.n_heads
 
     def to_json_dict(self) -> dict:
-        return {
-            "num_layers": self.num_layers,
-            "d_model": self.d_model,
-            "n_heads": self.n_heads,
-            "vocab": self.vocab,
-            "seq_len": self.seq_len,
-            "ffn_ratio": self.ffn_ratio,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "ModelConfig":
@@ -139,8 +132,6 @@ class OptimConfig:
     lr: float = 1e-3
     warmup: int = 60
     batch_size: int = 8
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -388,7 +379,7 @@ def mlm_pretrain(model: Model, corpus: Corpus, steps: int,
     optim = optim or OptimConfig()
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    opt = Adam(model.parameters(), lr=optim.lr, betas=optim.betas, eps=optim.eps)
+    opt = Adam(model.parameters(), lr=optim.lr)
     opt.zero_grad()  # gradients the caller left would add into the first step
     losses: list[float] = []
     for step in range(steps):

@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from opnas.tensor import Tensor, apply_binary, apply_unary
+from opnas.tensor import BINARY_OP_KINDS, UNARY_OP_KINDS, Tensor
 
 __all__ = [
     "UNARY_OPS",
@@ -71,8 +71,9 @@ __all__ = [
     "count_params",
 ]
 
-UNARY_OPS = ("neg", "transpose", "scale", "softmax", "logsigmoid", "softsign")
-BINARY_OPS = ("add", "matmul", "cosine", "euclidean")
+# the op names, in the op tables' order; every mutation draw depends on it
+UNARY_OPS = tuple(UNARY_OP_KINDS)
+BINARY_OPS = tuple(BINARY_OP_KINDS)
 ALL_OPS = UNARY_OPS + BINARY_OPS
 
 KERNEL_MENU = (3, 5, 7, 9, 15, 31, 65)
@@ -324,10 +325,9 @@ def eval_dag(dag: AttentionDag, inputs: Mapping[str, Tensor]) -> Tensor:
     for i in nodes:
         node = dag.nodes[i]
         args = [values[r] if isinstance(r, int) else inputs[r] for r in node.args]
-        if node.op in UNARY_OPS:
-            values[i] = apply_unary(node.op, args[0])
-        else:
-            values[i] = apply_binary(node.op, args[0], args[1])
+        # looked up per call, so a replaced table entry takes effect
+        table = UNARY_OP_KINDS if node.op in UNARY_OPS else BINARY_OP_KINDS
+        values[i] = table[node.op](*args)
     return values[dag.output]
 
 

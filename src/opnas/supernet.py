@@ -75,7 +75,6 @@ __all__ = [
     "center_slice",
     "extract_conv_kernel",
     "write_back",
-    "write_back_shared",
     "init_candidate",
     "BiwsEvaluator",
 ]
@@ -228,15 +227,6 @@ def _checked_assign(sn: Supernet, key: str, value) -> None:
     sn.store[key] = value.copy()
 
 
-def write_back_shared(sn: Supernet, weights: Mapping[str, np.ndarray]) -> Supernet:
-    """Update non-searched parameters (embeddings, FFN, layer norms)."""
-    for key, value in weights.items():
-        if key not in sn.store:
-            raise KeyError(f"unknown store key {key!r}")
-        _checked_assign(sn, key, value)
-    return sn
-
-
 # ---------------------------------------------------------------------------
 # candidate initialization
 
@@ -281,9 +271,10 @@ def _write_back_candidate(sn: Supernet, spec: BackboneSpec,
                 weights["transform"] = transform
                 weights["kernel"] = transform @ trained[f"layer{i}.conv.slice"]
             write_back(sn, i, weights, "conv")
-    # the glue: every parameter outside the two branches
-    write_back_shared(sn, {name: trained[name] for name in param_shapes(sn.config, spec)
-                           if ".att." not in name and ".conv." not in name})
+    # the glue: embeddings, FFNs and layer norms, outside both branches
+    for name in param_shapes(sn.config, spec):
+        if ".att." not in name and ".conv." not in name:
+            _checked_assign(sn, name, trained[name])
 
 
 class BiwsEvaluator:

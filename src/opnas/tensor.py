@@ -49,8 +49,6 @@ __all__ = [
     "NonFiniteError",
     "UNARY_OP_KINDS",
     "BINARY_OP_KINDS",
-    "apply_unary",
-    "apply_binary",
     "neg",
     "transpose",
     "scale",
@@ -127,25 +125,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def sum(self) -> "Tensor":
-        return tensor_sum(self)
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __mul__(self, other) -> "Tensor":
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return mul_const(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Tensor":
-        return neg(self)
 
 
 class Parameter(Tensor):
@@ -423,22 +402,6 @@ BINARY_OP_KINDS: dict[str, Callable[[Tensor, Tensor], Tensor]] = {
     "cosine": cosine_similarity,
     "euclidean": euclidean_distance,
 }
-
-
-def apply_unary(op: str, x: Tensor) -> Tensor:
-    try:
-        fn = UNARY_OP_KINDS[op]
-    except KeyError:
-        raise KeyError(f"unknown unary op {op!r}") from None
-    return fn(x)
-
-
-def apply_binary(op: str, a: Tensor, b: Tensor) -> Tensor:
-    try:
-        fn = BINARY_OP_KINDS[op]
-    except KeyError:
-        raise KeyError(f"unknown binary op {op!r}") from None
-    return fn(a, b)
 
 
 # ---------------------------------------------------------------------------

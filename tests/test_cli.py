@@ -137,6 +137,47 @@ def test_search_biws_keeps_any_checkpoint_suffix(tiny_cfg, tmp_path):
     assert sum(Supernet.load(ckpt).versions) > first
 
 
+def test_search_biws_resume_without_supernet_is_exit_3(tiny_cfg, tmp_path, capsys):
+    ckpt, out = tmp_path / "sn.npz", tmp_path / "run"
+    assert run("search", "--config", tiny_cfg, "--out-dir", out, "--biws", ckpt) == 0
+    ckpt.unlink()
+    history = (out / "history.jsonl").read_bytes()
+    # fresh weights cannot continue the run: the resumed history would differ
+    assert run("search", "--config", tiny_cfg, "--out-dir", out, "--biws", ckpt,
+               "--resume", "--iterations", "3") == 3
+    assert capsys.readouterr().err.strip() == \
+        f"error: cannot resume: no supernet checkpoint at {ckpt}"
+    assert not ckpt.exists()
+    assert (out / "history.jsonl").read_bytes() == history
+
+
+@pytest.mark.parametrize("keep", [3000, 0], ids=["truncated", "empty"])
+@pytest.mark.parametrize("command", ["search", "eval"])
+def test_cut_short_supernet_is_exit_3(command, keep, tiny_cfg, tmp_path, capsys):
+    cfg = json.loads(Path(tiny_cfg).read_text())
+    ckpt = tmp_path / "sn.npz"
+    init_supernet(ModelConfig(**cfg["model"]), 0).save(ckpt)
+    cut = ckpt.read_bytes()[:keep]
+    ckpt.write_bytes(cut)
+    if command == "eval":
+        spec_path = tmp_path / "std.json"
+        spec_path.write_text(serialize(standard_backbone(2)))
+        argv = ("eval", spec_path)
+    else:
+        argv = ("search",)
+    assert run(*argv, "--config", tiny_cfg, "--out-dir", tmp_path / "o",
+               "--biws", ckpt) == 3
+    assert capsys.readouterr().err.startswith("error: bad supernet checkpoint: ")
+    assert ckpt.read_bytes() == cut
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_search_jobs_below_1_is_exit_2(jobs, tiny_cfg, tmp_path):
+    out = tmp_path / "run"
+    assert run("search", "--config", tiny_cfg, "--out-dir", out, "--jobs", jobs) == 2
+    assert not (out / "history.jsonl").exists()
+
+
 def test_out_dir_env_fallback(tiny_cfg, tmp_path, monkeypatch):
     env_dir = tmp_path / "from-env"
     monkeypatch.setenv("OPNAS_OUT_DIR", str(env_dir))

@@ -278,6 +278,8 @@ def test_config_validation():
         SearchConfig(k=0)
     with pytest.raises(ValueError):
         SearchConfig(alpha=-0.1)
+    with pytest.raises(ValueError):
+        SearchConfig(jobs=0)
 
 
 # ---------------------------------------------------------------------------

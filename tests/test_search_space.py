@@ -180,7 +180,9 @@ def test_pruned_eval_equals_every_node_eval(seed):
     # an overflow, live or dead, ends in NonFiniteError rather than a warning
     with np.errstate(over="ignore", invalid="ignore"), pytest.MonkeyPatch.context() as mp:
         try:
-            want = oracles.eval_dag_every_node(dag, full, T.apply_unary, T.apply_binary)
+            want = oracles.eval_dag_every_node(
+                dag, full, lambda op, x: T.UNARY_OP_KINDS[op](x),
+                lambda op, a, b: T.BINARY_OP_KINDS[op](a, b))
         except T.NonFiniteError:
             want = None
         for table in (T.UNARY_OP_KINDS, T.BINARY_OP_KINDS):

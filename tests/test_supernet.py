@@ -30,7 +30,6 @@ from opnas.supernet import (
     init_candidate,
     init_supernet,
     write_back,
-    write_back_shared,
 )
 
 
@@ -195,12 +194,6 @@ def test_write_back_rejects_bad_shapes(sn):
         write_back(sn, 0, {"q": np.ones((3, 3))}, kind="attention")
     with pytest.raises(ValueError):
         write_back(sn, 0, {}, kind="dense")
-
-
-def test_write_back_shared_replaces_glue(sn, rng):
-    emb = rng.normal(size=sn.store["tok_emb"].shape)
-    write_back_shared(sn, {"tok_emb": emb})
-    assert np.array_equal(sn.store["tok_emb"], emb)
 
 
 # ---------------------------------------------------------------------------
