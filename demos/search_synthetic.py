@@ -57,8 +57,9 @@ def main():
               f"(best {best:.3f} over {len(records)} evaluations)")
 
     # ------------------------------------------------------------------
-    # runs persist a history.jsonl and checkpoint.json; resume continues
-    # from the checkpoint and reproduces the uninterrupted bytes
+    # runs persist a history.jsonl and a small checkpoint.json (rng state
+    # and counters); resume replays the history up to the checkpoint and
+    # reproduces the uninterrupted bytes
     with tempfile.TemporaryDirectory() as tmp:
         gold_dir, cut_dir = Path(tmp) / "gold", Path(tmp) / "cut"
         short = SearchConfig(population_size=8, k=2, alpha=0.25, seed=5,

@@ -3,8 +3,9 @@
 Configuration comes from an optional JSON config file with sections
 {search, model, corpus, trainer, metrics}, overridden by flags (flags
 win); the fully resolved config is written into the run directory as
-config.json. Outputs go to --out-dir (env OPNAS_OUT_DIR, default
-./opnas-out); input files are never modified.
+config.json, which a search refused with exit 3 leaves as it was. Outputs
+go to --out-dir (env OPNAS_OUT_DIR, default ./opnas-out); input files are
+never modified.
 
 Exit codes: 0 ok, 2 config error, 3 checkpoint error, 4 spec error,
 5 data error (also a search whose three batches in a row scored nothing,
@@ -231,7 +232,21 @@ def _load_supernet(path, model_config: ModelConfig) -> Supernet:
 def cmd_search(args) -> int:
     resolved = _resolve(args)
     out = _out_dir(resolved)
+    config_path = out / "config.json"
+    previous = config_path.read_bytes() if config_path.exists() else None
     _write_resolved(resolved, out)
+    try:
+        return _search(args, resolved, out)
+    except CliError as e:
+        if e.code == EXIT_CHECKPOINT:  # a refused run leaves config.json as it was
+            if previous is None:
+                config_path.unlink()
+            else:
+                config_path.write_bytes(previous)
+        raise
+
+
+def _search(args, resolved: dict, out: Path) -> int:
     search_config = _search_config(resolved)
     model_config = _model_config(resolved)
     corpus = _corpus(resolved)

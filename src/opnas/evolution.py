@@ -19,11 +19,15 @@ resume).
 
 History: an append-only JSONL file with one record per evaluated candidate
 {id, parent_id, spec, score, iteration, wall_ms}, and a JSON checkpoint
-{population, stats, rng state, counters} written after every completed
-iteration. A resumed run replays the interrupted iteration from the
+{version, config, iteration, next_id, evaluations, rng_state} written after
+every completed iteration: only what the history cannot give. A resume
+replays the history's committed iterations through the loop's own
+per-iteration fold, which rebuilds the population, statistics, best score
+and patience counter, then replays the interrupted iteration from the
 checkpointed rng state, so its history file is byte-identical to an
 uninterrupted run (timing is injectable; wall_ms is the only
-nondeterministic field under a real clock).
+nondeterministic field under a real clock). Rows past the checkpoint's
+iteration, a torn last line among them, were never committed and are dropped.
 
 Evaluator contract: a callable taking (spec) or (spec, candidate_id) and
 returning a float in [0, 1] or an EvalResult. Exceptions and scores outside
@@ -79,7 +83,6 @@ __all__ = [
     "op_distribution",
     "kernel_distribution",
     "record_result",
-    "replay_stats",
     "search",
     "vanilla_ea",
     "random_search",
@@ -92,8 +95,11 @@ log = logging.getLogger(__name__)
 
 HISTORY_FILE = "history.jsonl"
 CHECKPOINT_FILE = "checkpoint.json"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 FAILED_BATCH_LIMIT = 3  # batches in a row that score nothing end a run
+# what a checkpoint holds besides its version; the history gives the rest
+_CHECKPOINT_FIELDS = {"config": dict, "iteration": int, "next_id": int,
+                      "evaluations": int, "rng_state": list}
 
 
 @dataclass(frozen=True)
@@ -206,31 +212,6 @@ class UcbStats:
         """Length of the longest attention path recorded so far."""
         return max(self.totals, default=-1) + 1
 
-    def to_json_dict(self) -> dict:
-        return {
-            "visits": {str(j): dict(v) for j, v in self.visits.items()},
-            "sums": {str(j): dict(s) for j, s in self.sums.items()},
-            "totals": {str(j): n for j, n in self.totals.items()},
-            "kernel_counts": {
-                str(li): {str(k): c for k, c in counts.items()}
-                for li, counts in self.kernel_counts.items()
-            },
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: Mapping) -> "UcbStats":
-        stats = cls()
-        stats.visits = {int(j): {op: int(n) for op, n in v.items()}
-                        for j, v in d["visits"].items()}
-        stats.sums = {int(j): {op: float(s) for op, s in v.items()}
-                      for j, v in d["sums"].items()}
-        stats.totals = {int(j): int(n) for j, n in d["totals"].items()}
-        stats.kernel_counts = {
-            int(li): {int(k): int(c) for k, c in counts.items()}
-            for li, counts in d["kernel_counts"].items()
-        }
-        return stats
-
 
 def record_result(stats: UcbStats, candidate: Candidate, score: float) -> UcbStats:
     """Fold one evaluated candidate into the statistics (in place)."""
@@ -247,15 +228,6 @@ def record_result(stats: UcbStats, candidate: Candidate, score: float) -> UcbSta
             visits[node.op] = visits.get(node.op, 0) + 1
             sums[node.op] = sums.get(node.op, 0.0) + score
             stats.totals[j] = stats.totals.get(j, 0) + 1
-    return stats
-
-
-def replay_stats(records: Sequence[EvalRecord]) -> UcbStats:
-    """Rebuild the statistics a run would hold after logging ``records``."""
-    stats = UcbStats()
-    for rec in records:
-        cand = Candidate(rec.id, rec.spec, rec.score, rec.parent_id)
-        record_result(stats, cand, rec.score)
     return stats
 
 
@@ -367,7 +339,8 @@ def _top(candidates: Sequence[Candidate], count: int) -> list[Candidate]:
 
 
 class _RunState:
-    """Mutable loop state; mirrors exactly what the checkpoint stores."""
+    """Mutable loop state: the checkpoint's counters and rng, plus what
+    ``advance`` folds from the scored candidates of every completed iteration."""
 
     def __init__(self, config: SearchConfig):
         self.config = config
@@ -381,6 +354,22 @@ class _RunState:
         self.best_score: float | None = None
         self.stale = 0
 
+    def advance(self, iteration: int, scored: Sequence[Candidate]) -> None:
+        """Fold one completed iteration's scored candidates, in id order; a
+        resume replays the history through it (``_top`` is a strict order)."""
+        for cand in scored:
+            record_result(self.stats, cand, cand.score)
+        self.evaluations += len(scored)
+        self.population = _top(self.population + list(scored),
+                               self.config.population_size)
+        self.iteration = iteration
+        top = self.population[0].score if self.population else None
+        if top is not None and (self.best_score is None or top > self.best_score):
+            self.best_score = top
+            self.stale = 0
+        else:
+            self.stale += 1
+
     def checkpoint_dict(self) -> dict:
         return {
             "version": CHECKPOINT_VERSION,
@@ -388,56 +377,33 @@ class _RunState:
             "iteration": self.iteration,
             "next_id": self.next_id,
             "evaluations": self.evaluations,
-            "best_score": self.best_score,
-            "stale": self.stale,
-            "population": [
-                {
-                    "id": c.id,
-                    "parent_id": c.parent_id,
-                    "score": c.score,
-                    "spec": backbone_to_payload(c.spec),
-                }
-                for c in self.population
-            ],
-            "stats": self.stats.to_json_dict(),
-            "rng_state": _rng_state_to_json(self.rng.getstate()),
+            "rng_state": self.rng.getstate(),  # tuples dump as JSON lists
         }
 
-    def load_checkpoint(self, d: Mapping) -> None:
+    def load_checkpoint(self, d) -> tuple[int, int]:
+        """Check a checkpoint against the run's config and restore its rng and
+        next id; returns its (iteration, evaluations) for the history replay."""
+        if not isinstance(d, dict):
+            raise CheckpointError("malformed checkpoint: not a JSON object")
         if d.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {d.get('version')!r}")
+        for field, kind in _CHECKPOINT_FIELDS.items():
+            if type(d.get(field)) is not kind:  # so a bool is no int
+                raise CheckpointError(f"malformed checkpoint: {field} is missing "
+                                      f"or not {kind.__name__}")
         for f in SearchConfig._RESUME_FIELDS:
             want = d["config"].get(f)
             have = getattr(self.config, f)
             if want != have:
                 raise CheckpointError(f"config field {f} changed: "
                                       f"checkpoint has {want!r}, run has {have!r}")
-        self.iteration = int(d["iteration"])
-        self.next_id = int(d["next_id"])
-        self.evaluations = int(d["evaluations"])
-        self.best_score = None if d["best_score"] is None else float(d["best_score"])
-        self.stale = int(d["stale"])
-        self.population = [
-            Candidate(
-                id=int(c["id"]),
-                spec=backbone_from_payload(c["spec"]),
-                score=float(c["score"]),
-                parent_id=None if c["parent_id"] is None else int(c["parent_id"]),
-            )
-            for c in d["population"]
-        ]
-        self.stats = UcbStats.from_json_dict(d["stats"])
-        self.rng.setstate(_rng_state_from_json(d["rng_state"]))
-
-
-def _rng_state_to_json(state) -> list:
-    version, internal, gauss = state
-    return [version, list(internal), gauss]
-
-
-def _rng_state_from_json(data) -> tuple:
-    version, internal, gauss = data
-    return (version, tuple(internal), gauss)
+        try:
+            version, internal, gauss = d["rng_state"]
+            self.rng.setstate((version, tuple(internal), gauss))
+        except (TypeError, ValueError) as e:
+            raise CheckpointError(f"malformed checkpoint: rng_state: {e}") from None
+        self.next_id = d["next_id"]
+        return d["iteration"], d["evaluations"]
 
 
 class _Sink:
@@ -471,26 +437,45 @@ class _Sink:
         tmp.replace(self.checkpoint_path)
 
     def load_for_resume(self, state: _RunState) -> None:
+        """Restore the rng and ids from the checkpoint, drop the history rows
+        of an uncommitted iteration, and replay the rest through ``advance``."""
         if self.dir is None or not self.checkpoint_path.exists():
             raise CheckpointError(f"no checkpoint at {self.checkpoint_path}")
         try:
             payload = json.loads(self.checkpoint_path.read_text())
         except json.JSONDecodeError as e:
             raise CheckpointError(f"malformed checkpoint: {e}") from None
-        state.load_checkpoint(payload)
-        # drop any history lines from a partially completed iteration
+        iteration, evaluations = state.load_checkpoint(payload)
+        lines = (self.history_path.read_text().splitlines()
+                 if self.history_path.exists() else [])
         kept: list[EvalRecord] = []
-        if self.history_path.exists():
-            for line in self.history_path.read_text().splitlines():
-                if not line.strip():
-                    continue
+        for n, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
                 rec = EvalRecord.from_json_dict(json.loads(line))
-                if rec.iteration <= state.iteration:
-                    kept.append(rec)
-            with open(self.history_path, "w") as fh:
-                for rec in kept:
-                    fh.write(json.dumps(rec.to_json_dict()) + "\n")
+            except (KeyError, TypeError, ValueError) as e:
+                if n == len(lines):
+                    # torn by a crash inside append_history, which precedes
+                    # the checkpoint write: never committed
+                    break
+                raise CheckpointError(f"{self.history_path} line {n}: {e}") from None
+            if 0 <= rec.iteration <= iteration:
+                kept.append(rec)
+        if len(kept) != evaluations:
+            raise CheckpointError(f"history holds {len(kept)} evaluations up to iteration "
+                                  f"{iteration}, checkpoint counts {evaluations}")
+        if lines:
+            tmp = self.history_path.with_suffix(".jsonl.tmp")
+            tmp.write_text("".join(json.dumps(r.to_json_dict()) + "\n" for r in kept))
+            tmp.replace(self.history_path)
         state.history = kept
+        scored = {it: [] for it in range(iteration + 1)}  # empty iterations too
+        for rec in kept:
+            scored[rec.iteration].append(Candidate(rec.id, rec.spec, rec.score,
+                                                   rec.parent_id))
+        for it, cands in scored.items():
+            state.advance(it, cands)
 
 
 def _evaluate_batch(candidates, evaluator, takes_id, jobs, clock):
@@ -551,25 +536,13 @@ def _fold(scored: list, best, cand: Candidate, outcome, wall_ms: float):
 def _finish_iteration(state: _RunState, sink: _Sink, evaluator,
                       scored, best, iteration: int) -> None:
     """Apply one iteration's results in candidate-id order, then persist."""
-    records = []
-    for cand, wall_ms in scored:
-        records.append(EvalRecord(cand.id, cand.parent_id, cand.spec,
-                                  cand.score, iteration, wall_ms))
-        record_result(state.stats, cand, cand.score)
-        state.evaluations += 1
+    records = [EvalRecord(cand.id, cand.parent_id, cand.spec, cand.score,
+                          iteration, wall_ms) for cand, wall_ms in scored]
     state.history.extend(records)
-    pool = state.population + [c for c, _ in scored]
-    state.population = _top(pool, state.config.population_size)
+    state.advance(iteration, [cand for cand, _ in scored])
     hook = getattr(evaluator, "on_iteration_end", None)
     if hook is not None:
         hook(iteration, [] if best is None else [best])
-    state.iteration = iteration
-    top = state.population[0].score if state.population else None
-    if top is not None and (state.best_score is None or top > state.best_score):
-        state.best_score = top
-        state.stale = 0
-    else:
-        state.stale += 1
     sink.append_history(records)
     sink.write_checkpoint(state)
 

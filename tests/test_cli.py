@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -19,18 +20,20 @@ from opnas.search_space import (
 from opnas.supernet import BiwsEvaluator, Supernet, init_supernet
 
 
+TINY_CFG = {
+    "search": {"population_size": 4, "k": 2, "max_iterations": 2,
+               "children_per_parent": 1, "seed": 3},
+    "model": {"num_layers": 2, "d_model": 16, "n_heads": 2, "vocab": 32,
+              "seq_len": 16},
+    "corpus": {"size": 32},
+    "trainer": {"steps": 4, "batch_size": 4, "warmup": 2},
+}
+
+
 @pytest.fixture
 def tiny_cfg(tmp_path):
-    cfg = {
-        "search": {"population_size": 4, "k": 2, "max_iterations": 2,
-                   "children_per_parent": 1, "seed": 3},
-        "model": {"num_layers": 2, "d_model": 16, "n_heads": 2, "vocab": 32,
-                  "seq_len": 16},
-        "corpus": {"size": 32},
-        "trainer": {"steps": 4, "batch_size": 4, "warmup": 2},
-    }
     path = tmp_path / "tiny.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(TINY_CFG))
     return path
 
 
@@ -176,6 +179,86 @@ def test_search_jobs_below_1_is_exit_2(jobs, tiny_cfg, tmp_path):
     out = tmp_path / "run"
     assert run("search", "--config", tiny_cfg, "--out-dir", out, "--jobs", jobs) == 2
     assert not (out / "history.jsonl").exists()
+
+
+@pytest.fixture(scope="module")
+def biws_run(tmp_path_factory):
+    """A finished tiny ``--biws`` search whose supernet sits in its run directory."""
+    work = tmp_path_factory.mktemp("biws-run")
+    cfg = work / "tiny.json"
+    cfg.write_text(json.dumps(TINY_CFG))
+    out = work / "run"
+    assert run("search", "--config", cfg, "--out-dir", out, "--biws", out / "sn.npz") == 0
+    return cfg, out
+
+
+@pytest.fixture
+def run_copy(biws_run, tmp_path):
+    """A fresh copy of ``biws_run``: (run directory, argv resuming it)."""
+    cfg, out = biws_run
+    copy = tmp_path / "run"
+    shutil.copytree(out, copy)
+    return copy, ("search", "--config", cfg, "--out-dir", copy,
+                  "--biws", copy / "sn.npz", "--resume")
+
+
+@pytest.mark.parametrize("missing", ["checkpoint.json", "sn.npz"])
+def test_refused_search_leaves_config_json(missing, run_copy):
+    out, resume = run_copy
+    before = (out / "config.json").read_bytes()
+    (out / missing).unlink()
+    assert run(*resume, "--iterations", "7") == 3
+    assert (out / "config.json").read_bytes() == before
+
+
+def test_refused_search_in_a_new_directory_writes_no_config_json(tiny_cfg, tmp_path):
+    out = tmp_path / "none"
+    assert run("search", "--config", tiny_cfg, "--out-dir", out, "--resume") == 3
+    assert not (out / "config.json").exists()
+
+
+@pytest.mark.parametrize("payload", [[], {"version": 2}, "drop next_id"],
+                         ids=["array", "version-only", "no-next-id"])
+def test_malformed_search_checkpoint_is_exit_3(payload, run_copy, capsys):
+    out, resume = run_copy
+    path = out / "checkpoint.json"
+    if payload == "drop next_id":
+        payload = json.loads(path.read_text())
+        del payload["next_id"]
+    path.write_text(json.dumps(payload))
+    assert run(*resume) == 3
+    assert capsys.readouterr().err.startswith("error: malformed checkpoint: ")
+
+
+def test_version_1_search_checkpoint_is_exit_3(run_copy, capsys):
+    out, resume = run_copy
+    path = out / "checkpoint.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "version": 1}))
+    assert run(*resume) == 3
+    assert capsys.readouterr().err.strip() == "error: unsupported checkpoint version 1"
+
+
+def test_missing_history_row_is_exit_3(run_copy, capsys):
+    out, resume = run_copy
+    hist = out / "history.jsonl"
+    lines = hist.read_text().splitlines(keepends=True)
+    del lines[2]
+    hist.write_text("".join(lines))
+    assert run(*resume, "--iterations", "3") == 3
+    assert capsys.readouterr().err.strip() == (
+        f"error: history holds {len(lines)} evaluations up to iteration 2, "
+        f"checkpoint counts {len(lines) + 1}")
+    assert hist.read_text() == "".join(lines)
+
+
+def test_resume_drops_a_torn_last_history_line(run_copy):
+    out, resume = run_copy
+    hist = out / "history.jsonl"
+    committed = hist.read_bytes()
+    # a crash inside the next iteration's history append
+    hist.write_bytes(committed + committed.splitlines(keepends=True)[-1][:30])
+    assert run(*resume) == 0
+    assert hist.read_bytes() == committed
 
 
 def test_out_dir_env_fallback(tiny_cfg, tmp_path, monkeypatch):

@@ -28,7 +28,6 @@ from opnas.evolution import (
     random_search,
     read_history,
     record_result,
-    replay_stats,
     search,
     ucb_score,
     vanilla_ea,
@@ -237,34 +236,6 @@ def test_n_max_tracks_longest_path():
     assert stats.n_max == 1
     record_result(stats, Candidate(1, S.standard_backbone(1), 0.5), 0.5)
     assert stats.n_max == len(S.standard_attention_dag().nodes)
-
-
-def test_stats_round_trip_json():
-    r = random.Random(2)
-    pairs = [(S.BackboneSpec((S.LayerSpec.attention(S.random_dag(r)),
-                              S.LayerSpec.conv(r.choice(S.KERNEL_MENU)))),
-              r.random()) for _ in range(10)]
-    stats = stats_from(pairs)
-    clone = UcbStats.from_json_dict(json.loads(json.dumps(stats.to_json_dict())))
-    assert clone.visits == stats.visits
-    assert clone.sums == stats.sums
-    assert clone.totals == stats.totals
-    assert clone.kernel_counts == stats.kernel_counts
-
-
-def test_replay_matches_online_accumulation():
-    r = random.Random(5)
-    stats = UcbStats()
-    records = []
-    for i in range(20):
-        spec = S.BackboneSpec((S.LayerSpec.attention(S.random_dag(r)),))
-        score = r.random()
-        record_result(stats, Candidate(i, spec, score), score)
-        records.append(EvalRecord(i, None, spec, score, iteration=0, wall_ms=0.0))
-    replayed = replay_stats(records)
-    assert replayed.visits == stats.visits
-    assert replayed.sums == stats.sums
-    assert replayed.totals == stats.totals
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +597,119 @@ def test_checkpoint_written_every_iteration(tmp_path):
     search(cfg, node_fraction_fitness, out_dir=tmp_path, clock=ZERO_CLOCK)
     payload = json.loads((tmp_path / "checkpoint.json").read_text())
     assert payload["iteration"] == 2
-    assert payload["next_id"] == len(read_history(tmp_path / "history.jsonl"))
+    assert payload["next_id"] == payload["evaluations"] == \
+        len(read_history(tmp_path / "history.jsonl"))
+    # only what the history cannot give
+    assert list(payload) == ["version", "config", "iteration", "next_id",
+                             "evaluations", "rng_state"]
+    assert payload["version"] == 2
+
+
+@pytest.mark.parametrize("algo", (search, vanilla_ea), ids=lambda a: a.__name__)
+def test_resume_replays_patience(algo, tmp_path):
+    # the best score and the stale count come back from the history, so a
+    # run cut after the best stopped improving still stops where it would
+    cfg = SearchConfig(max_iterations=40, patience=2, **RESUME_BASE)
+    gold = tmp_path / "gold"
+    records = algo(cfg, node_fraction_fitness, out_dir=gold, clock=ZERO_CLOCK)
+    last = max(r.iteration for r in records)
+    assert last < cfg.max_iterations  # patience bound
+    # cut inside the final iteration, when the checkpoint's stale count is 1
+    crash_id = next(r.id for r in records if r.iteration == last) + 1
+    cut = tmp_path / "cut"
+    with pytest.raises(Crash):
+        algo(cfg, crash_at(crash_id), out_dir=cut, clock=ZERO_CLOCK)
+    assert json.loads((cut / "checkpoint.json").read_text())["iteration"] == last - 1
+    algo(cfg, node_fraction_fitness, out_dir=cut, resume=True, clock=ZERO_CLOCK)
+    for name in ("history.jsonl", "checkpoint.json"):
+        assert (gold / name).read_bytes() == (cut / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("algo", STRATEGIES, ids=lambda a: a.__name__)
+def test_resume_drops_a_torn_last_history_line(algo, tmp_path):
+    cfg = SearchConfig(max_iterations=5, **RESUME_BASE)
+    gold, cut = tmp_path / "gold", tmp_path / "cut"
+    algo(cfg, node_fraction_fitness, out_dir=gold, clock=ZERO_CLOCK)
+    with pytest.raises(Crash):
+        algo(cfg, crash_at(CRASH_ID), out_dir=cut, clock=ZERO_CLOCK)
+    # a crash inside append_history: one row of the next iteration written,
+    # the second cut inside its line, and no checkpoint after them
+    hist = cut / "history.jsonl"
+    committed = len(hist.read_text().splitlines())
+    rows = (gold / "history.jsonl").read_text().splitlines(keepends=True)
+    with open(hist, "a") as fh:
+        fh.write(rows[committed] + rows[committed + 1][:40])
+    algo(cfg, node_fraction_fitness, out_dir=cut, resume=True, clock=ZERO_CLOCK)
+    for name in ("history.jsonl", "checkpoint.json"):
+        assert (gold / name).read_bytes() == (cut / name).read_bytes(), name
+
+
+def test_resume_refuses_an_unparsable_inner_history_line(tmp_path):
+    search(tiny_search_config(max_iterations=1), node_fraction_fitness,
+           out_dir=tmp_path, clock=ZERO_CLOCK)
+    hist = tmp_path / "history.jsonl"
+    lines = hist.read_text().splitlines(keepends=True)
+    lines[2] = lines[2][:40] + "\n"
+    hist.write_text("".join(lines))
+    with pytest.raises(CheckpointError, match="line 3"):
+        search(tiny_search_config(max_iterations=2), node_fraction_fitness,
+               out_dir=tmp_path, resume=True, clock=ZERO_CLOCK)
+    assert hist.read_text() == "".join(lines)
+
+
+@pytest.mark.parametrize("algo", STRATEGIES, ids=lambda a: a.__name__)
+def test_resume_refuses_a_missing_committed_row(algo, tmp_path):
+    algo(tiny_search_config(max_iterations=1), node_fraction_fitness,
+         out_dir=tmp_path, clock=ZERO_CLOCK)
+    hist = tmp_path / "history.jsonl"
+    lines = hist.read_text().splitlines(keepends=True)
+    del lines[1]
+    hist.write_text("".join(lines))
+    with pytest.raises(CheckpointError,
+                       match=f"holds {len(lines)} evaluations .* counts {len(lines) + 1}"):
+        algo(tiny_search_config(max_iterations=2), node_fraction_fitness,
+             out_dir=tmp_path, resume=True, clock=ZERO_CLOCK)
+
+
+def break_checkpoint(payload, how):
+    """A checkpoint that is valid JSON but no valid version-2 checkpoint."""
+    if how == "array":
+        return []
+    payload = dict(payload)
+    if how == "no-next-id":
+        del payload["next_id"]
+    elif how == "string-iteration":
+        payload["iteration"] = str(payload["iteration"])
+    elif how == "bool-evaluations":
+        payload["evaluations"] = True
+    elif how == "short-rng-state":
+        payload["rng_state"] = [3, [1, 2], None]
+    return payload
+
+
+MALFORMED = ("array", "no-next-id", "string-iteration", "bool-evaluations",
+             "short-rng-state")
+
+
+@pytest.mark.parametrize("how", MALFORMED)
+def test_resume_refuses_a_malformed_checkpoint(how, tmp_path):
+    cfg = tiny_search_config(max_iterations=1)
+    search(cfg, node_fraction_fitness, out_dir=tmp_path, clock=ZERO_CLOCK)
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps(break_checkpoint(json.loads(path.read_text()), how)))
+    with pytest.raises(CheckpointError, match="^malformed checkpoint: "):
+        search(cfg, node_fraction_fitness, out_dir=tmp_path, resume=True,
+               clock=ZERO_CLOCK)
+
+
+def test_resume_refuses_a_version_1_checkpoint(tmp_path):
+    cfg = tiny_search_config(max_iterations=1)
+    search(cfg, node_fraction_fitness, out_dir=tmp_path, clock=ZERO_CLOCK)
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "version": 1}))
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+        search(cfg, node_fraction_fitness, out_dir=tmp_path, resume=True,
+               clock=ZERO_CLOCK)
 
 
 # ---------------------------------------------------------------------------
@@ -648,8 +731,9 @@ def test_three_empty_batches_raise(algo, tmp_path):
     # the first two were finished as empty iterations
     assert calls == list(range(3 * cfg.population_size))
     checkpoint = json.loads((tmp_path / "checkpoint.json").read_text())
-    assert checkpoint["iteration"] == 1
-    assert checkpoint["population"] == []
+    assert {k: checkpoint[k] for k in ("version", "iteration", "next_id", "evaluations")} \
+        == {"version": 2, "iteration": 1, "next_id": 2 * cfg.population_size,
+            "evaluations": 0}
     assert not (tmp_path / "history.jsonl").exists()
 
 
