@@ -20,7 +20,8 @@ resume).
 History: an append-only JSONL file with one record per evaluated candidate
 {id, parent_id, spec, score, iteration, wall_ms}, and a JSON checkpoint
 {version, config, iteration, next_id, evaluations, rng_state} written after
-every completed iteration: only what the history cannot give. A resume
+every completed iteration: only what the history cannot give. A run that
+does not resume first deletes both files of any earlier run. A resume
 replays the history's committed iterations through the loop's own
 per-iteration fold, which rebuilds the population, statistics, best score
 and patience counter, then replays the interrupted iteration from the
@@ -174,6 +175,8 @@ class SearchConfig:
             raise ValueError("children_per_parent >= 1 and max_iterations >= 0")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if not 1 <= self.max_path_len <= MAX_PATH_LEN:  # what a spec may hold
+            raise ValueError(f"max_path_len must be in 1..{MAX_PATH_LEN}")
 
     # fields that must match between a checkpoint and a resuming config
     _RESUME_FIELDS = ("population_size", "k", "alpha", "children_per_parent",
@@ -422,6 +425,13 @@ class _Sink:
     def checkpoint_path(self) -> Path | None:
         return None if self.dir is None else self.dir / CHECKPOINT_FILE
 
+    def start_afresh(self) -> None:
+        """Drop a previous run's history and checkpoint, so the files a
+        fresh run leaves describe that run alone."""
+        if self.dir is not None:
+            self.history_path.unlink(missing_ok=True)
+            self.checkpoint_path.unlink(missing_ok=True)
+
     def append_history(self, records: Sequence[EvalRecord]) -> None:
         if self.dir is None or not records:
             return
@@ -605,6 +615,8 @@ def _run(config: SearchConfig, evaluator, propose, out_dir, resume: bool,
     sink = _Sink(out_dir)
     if resume:
         sink.load_for_resume(state)
+    else:
+        sink.start_afresh()
     while batch := propose(state):
         scored, best = _evaluate_batch(batch, evaluator, takes_id, config.jobs, clock)
         if not scored and _failed_streak(state) + 1 >= FAILED_BATCH_LIMIT:

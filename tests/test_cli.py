@@ -12,6 +12,8 @@ from opnas.cli import main
 from opnas.evolution import read_history
 from opnas.model import ModelConfig, OptimConfig, synth_corpus
 from opnas.search_space import (
+    BackboneSpec,
+    LayerSpec,
     autobert_zero_backbone,
     deserialize,
     serialize,
@@ -261,6 +263,28 @@ def test_resume_drops_a_torn_last_history_line(run_copy):
     assert hist.read_bytes() == committed
 
 
+def test_search_max_path_len_beyond_what_eval_reads_is_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "long.json"
+    cfg.write_text(json.dumps({**TINY_CFG, "search": {**TINY_CFG["search"],
+                                                     "max_path_len": 20}}))
+    out = tmp_path / "run"
+    assert run("search", "--config", cfg, "--out-dir", out) == 2
+    assert "max_path_len must be in 1..12" in capsys.readouterr().err
+    assert not (out / "config.json").exists()
+
+
+@pytest.mark.parametrize("section,key", [("corpus", "sise"), ("trainer", "stpes"),
+                                         ("metrics", "seed")])
+def test_unknown_config_key_is_exit_2(section, key, tmp_path, capsys):
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps({**TINY_CFG, section: {key: 5}}))
+    out = tmp_path / "run"
+    assert run("search", "--config", cfg, "--out-dir", out) == 2
+    assert capsys.readouterr().err.strip() == \
+        f"error: unknown key {key!r} in config section {section!r}"
+    assert not (out / "config.json").exists()
+
+
 def test_out_dir_env_fallback(tiny_cfg, tmp_path, monkeypatch):
     env_dir = tmp_path / "from-env"
     monkeypatch.setenv("OPNAS_OUT_DIR", str(env_dir))
@@ -278,6 +302,9 @@ def test_bad_config_is_exit_2(tmp_path):
     invalid = tmp_path / "invalid.json"
     invalid.write_text(json.dumps({"search": {"population_size": 2, "k": 9}}))
     assert run("search", "--config", invalid) == 2
+    not_an_object = tmp_path / "scalar.json"
+    not_an_object.write_text(json.dumps({"trainer": 5}))
+    assert run("search", "--config", not_an_object) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +402,13 @@ def test_eval_corrupted_spec_is_exit_4(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"version": 1, "layers": [{"type": "dense"}]}')
     assert run("eval", bad, "--dry-run") == 4
-    assert "dense" in capsys.readouterr().err or True
+    assert "dense" in capsys.readouterr().err
 
 
 def test_eval_illegal_dag_is_exit_4(tmp_path, capsys):
     payload = json.loads(serialize(standard_backbone(1)))
     # break the output shape: final node yields n x n scores
+    payload["layers"][0]["inputs"] = ["q", "k"]
     payload["layers"][0]["nodes"] = [
         {"op": "transpose", "args": ["k"]},
         {"op": "matmul", "args": ["q", 0]},
@@ -388,7 +416,20 @@ def test_eval_illegal_dag_is_exit_4(tmp_path, capsys):
     bad = tmp_path / "illegal.json"
     bad.write_text(json.dumps(payload))
     assert run("eval", bad, "--dry-run") == 4
-    assert "layer 0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "$.layers[0]" in err and "is not n x d_h" in err
+
+
+def test_eval_dry_run_warns_of_a_conv_only_backbone(tmp_path, capsys):
+    specs = {"conv": BackboneSpec((LayerSpec.conv(3), LayerSpec.conv(5))),
+             "std": standard_backbone(2)}
+    printed = {}
+    for name, spec in specs.items():
+        (tmp_path / f"{name}.json").write_text(serialize(spec))
+        assert run("eval", tmp_path / f"{name}.json", "--dry-run") == 0
+        printed[name] = json.loads(capsys.readouterr().out)
+    assert printed["conv"]["warnings"] == ["backbone has no attention layers"]
+    assert "warnings" not in printed["std"]
 
 
 def test_eval_missing_file_is_exit_4(tmp_path):

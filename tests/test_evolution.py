@@ -253,6 +253,12 @@ def test_config_validation():
         SearchConfig(jobs=0)
 
 
+@pytest.mark.parametrize("max_path_len", [0, 13])
+def test_max_path_len_outside_what_a_spec_may_hold_is_refused(max_path_len):
+    with pytest.raises(ValueError, match=r"max_path_len must be in 1\.\.12"):
+        SearchConfig(max_path_len=max_path_len)
+
+
 # ---------------------------------------------------------------------------
 # the three loops
 
@@ -576,6 +582,21 @@ def test_resume_truncates_partial_iteration(tmp_path):
         assert (gold / "history.jsonl").read_bytes() == hist.read_bytes(), algo.__name__
 
 
+@pytest.mark.parametrize("algo", STRATEGIES, ids=lambda a: a.__name__)
+def test_a_fresh_run_replaces_an_earlier_one(algo, tmp_path):
+    cfg = tiny_search_config(max_iterations=1)
+    algo(cfg, node_fraction_fitness, out_dir=tmp_path / "once", clock=ZERO_CLOCK)
+    for _ in range(2):
+        algo(cfg, node_fraction_fitness, out_dir=tmp_path / "twice", clock=ZERO_CLOCK)
+    for name in ("history.jsonl", "checkpoint.json"):
+        assert (tmp_path / "once" / name).read_bytes() == \
+            (tmp_path / "twice" / name).read_bytes(), name
+    # a fresh run killed in its first batch leaves no earlier run's files
+    with pytest.raises(Crash):
+        algo(cfg, crash_at(0), out_dir=tmp_path / "twice", clock=ZERO_CLOCK)
+    assert not any((tmp_path / "twice").iterdir())
+
+
 def test_resume_requires_checkpoint(tmp_path):
     cfg = tiny_search_config()
     with pytest.raises(CheckpointError):
@@ -800,6 +821,17 @@ def test_history_record_round_trip():
                      wall_ms=12.5)
     clone = EvalRecord.from_json_dict(json.loads(json.dumps(rec.to_json_dict())))
     assert clone == rec
+
+
+def test_read_history_rejects_an_illegal_dag(tmp_path):
+    dag = S.AttentionDag(("q", "k", "v"), (S.DagNode("add", ("q", "k")),))
+    spec = S.BackboneSpec((S.LayerSpec.attention(dag),))
+    rec = EvalRecord(id=0, parent_id=None, spec=spec, score=0.5, iteration=0,
+                     wall_ms=0.0)
+    p = tmp_path / "history.jsonl"
+    p.write_text(json.dumps(rec.to_json_dict()) + "\n")
+    with pytest.raises(S.SpecParseError, match=r"\$\.layers\[0\]: declared inputs"):
+        read_history(p)
 
 
 def test_read_history_rejects_garbage(tmp_path):

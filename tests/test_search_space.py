@@ -356,6 +356,18 @@ def test_serialized_form_is_stable_json():
     (lambda p: p["layers"][0].update(kernel=4), "kernel"),
     (lambda p: p["layers"][1]["nodes"][0].update(op="relu"), "op"),
     (lambda p: p["layers"][1].update(inputs=["q", "x"]), "input"),
+    # the dag checks are validate's, located at the layer
+    pytest.param(lambda p: p["layers"][1].update(nodes=[
+        {"op": "transpose", "args": ["k"]}, {"op": "matmul", "args": ["q", 0]}]),
+        "$.layers[1]: node 1: output shape ('n', 'n') is not n x d_h", id="output-shape"),
+    pytest.param(lambda p: p["layers"][1].update(inputs=["q", "k", "v"]),
+                 "$.layers[1]: declared inputs never referenced: ['v']", id="unused-input"),
+    pytest.param(lambda p: p["layers"][3].update(inputs=["q", "k", "v", "k"]),
+                 "$.layers[3]: duplicate inputs", id="duplicate-inputs"),
+    pytest.param(lambda p: p["layers"][1].update(nodes=[
+        {"op": "add", "args": ["q", "k"]},
+        *({"op": "neg", "args": [i]} for i in range(12))]),
+        "$.layers[1]: 13 nodes exceeds limit 12", id="13-nodes"),
 ])
 def test_bad_payloads_rejected(mangle, fragment):
     payload = json.loads(S.serialize(S.autobert_zero_backbone(12)))
@@ -413,12 +425,6 @@ def test_autobert_rejects_odd_or_tiny_depth():
         S.autobert_zero_backbone(5)
     with pytest.raises(ValueError):
         S.autobert_zero_backbone(0)
-
-
-def test_backbone_warnings_flag_conv_only():
-    conv_only = S.BackboneSpec(tuple(S.LayerSpec.conv(3) for _ in range(4)))
-    assert any("attention" in w for w in S.backbone_warnings(conv_only))
-    assert S.backbone_warnings(S.standard_backbone(4)) == []
 
 
 # ---------------------------------------------------------------------------
