@@ -2,10 +2,15 @@
 
 Configuration comes from an optional JSON config file with sections
 {search, model, corpus, trainer, metrics}, overridden by flags (flags
-win); an unknown section or key is a config error. The fully resolved
-config is written into the run directory as config.json, which a search
-refused with exit 3 leaves as it was. Outputs go to --out-dir (env
-OPNAS_OUT_DIR, default ./opnas-out); input files are never modified.
+win). One step, ``_resolve``, merges them with the defaults, casts and
+checks every value, and hands each command typed configs. An unknown
+section or key, a value of the wrong type or out of range, and a
+``search.num_layers`` other than ``model.num_layers`` are config errors,
+refused before any file is written. The resolved config is written into
+the run directory as config.json, which is itself a valid ``--config``
+and which a search refused with exit 3 leaves as it was. Outputs go to
+--out-dir (env OPNAS_OUT_DIR, default ./opnas-out); input files are never
+modified.
 
 Exit codes: 0 ok, 2 config error, 3 checkpoint error, 4 spec error,
 5 data error (also a search whose three batches in a row scored nothing,
@@ -33,7 +38,7 @@ import logging
 import os
 import sys
 import zipfile
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from opnas.evolution import (
@@ -46,7 +51,8 @@ from opnas.evolution import (
     vanilla_ea,
 )
 from opnas.metrics import uniformity_report
-from opnas.model import ModelConfig, OptimConfig, TrainingDiverged, synth_corpus
+from opnas.model import (Corpus, ModelConfig, OptimConfig, TrainingDiverged,
+                         check_corpus_split, synth_corpus)
 from opnas.search_space import (
     SpecParseError,
     autobert_zero_backbone,
@@ -66,19 +72,22 @@ EXIT_CHECKPOINT = 3
 EXIT_SPEC = 4
 EXIT_DATA = 5
 
-ARCH_NAMES = ("autobert-zero", "standard-attention")
+# the bundled backbones by name, each built at the model's depth
+ARCHS = {"autobert-zero": autobert_zero_backbone, "standard-attention": standard_backbone}
 
-DEFAULT_CORPUS_SIZE = 512
-DEFAULT_TRAIN_STEPS = 100
-DEFAULT_METRIC_SEEDS = 1
-
-# the keys of the sections read field by field; SearchConfig and
-# ModelConfig refuse unknown search and model keys themselves
-SECTION_KEYS = {
-    "corpus": ("size", "seed", "heldout_fraction"),
-    "trainer": ("steps", "lr", "warmup", "batch_size"),
-    "metrics": ("seeds",),
+# each key-by-key section's keys in config.json order, with the CLI's defaults
+# (the trainer's apart from OptimConfig's; corpus.seed defaults to the search
+# seed); a given value is cast to its default's type
+SECTION_DEFAULTS = {
+    "corpus": {"size": 512, "seed": 0, "heldout_fraction": 0.125},
+    "trainer": {"steps": 100, "lr": 1e-3, "warmup": 60, "batch_size": 8},
+    "metrics": {"seeds": 1},
 }
+
+# flag -> the search field it overrides
+SEARCH_FLAGS = {"seed": "seed", "iterations": "max_iterations",
+                "population": "population_size", "k": "k", "alpha": "alpha",
+                "jobs": "jobs"}
 
 
 class CliError(Exception):
@@ -105,106 +114,84 @@ def _load_config_file(path: str | None) -> dict:
     return payload
 
 
-def _resolve(args) -> dict:
-    """Merge config file and flags into one resolved run configuration."""
+@dataclass(frozen=True)
+class RunConfig:
+    """A resolved run: typed configs, the key-by-key sections, the run directory."""
+
+    search: SearchConfig
+    model: ModelConfig
+    optim: OptimConfig
+    corpus: dict
+    trainer: dict
+    metrics: dict
+    out: Path
+
+    def write(self) -> None:
+        """Create the run directory and write config.json, itself a valid --config."""
+        self.out.mkdir(parents=True, exist_ok=True)
+        # optim repeats the trainer section, and out is where the file sits
+        resolved = {k: v for k, v in asdict(self).items() if k not in ("optim", "out")}
+        (self.out / "config.json").write_text(json.dumps(resolved, indent=2) + "\n")
+
+    def build_corpus(self) -> Corpus:
+        return synth_corpus(vocab=self.model.vocab, seq_len=self.model.seq_len,
+                            **self.corpus)
+
+
+def _run_dir(args) -> Path:
+    return Path(getattr(args, "out_dir", None) or os.environ.get("OPNAS_OUT_DIR")
+                or "opnas-out")
+
+
+def _cast(value, default, where: str):
+    try:
+        return type(default)(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where} must be {type(default).__name__}, "
+                         f"got {value!r}") from None
+
+
+def _resolve(args) -> RunConfig:
+    """Merge config file, flags and defaults into typed, checked configs."""
     raw = _load_config_file(getattr(args, "config", None))
     for section, keys in raw.items():
-        if section not in ("search", "model", *SECTION_KEYS):
+        if section not in ("search", "model", *SECTION_DEFAULTS):
             raise CliError(EXIT_CONFIG, f"unknown config section {section!r}")
         if not isinstance(keys, dict):
             raise CliError(EXIT_CONFIG, f"config section {section!r} must be an object")
         for key in keys:
-            if section in SECTION_KEYS and key not in SECTION_KEYS[section]:
+            if section in SECTION_DEFAULTS and key not in SECTION_DEFAULTS[section]:
                 raise CliError(EXIT_CONFIG,
                                f"unknown key {key!r} in config section {section!r}")
-    search_raw = dict(raw.get("search", {}))
-    model_raw = dict(raw.get("model", {}))
-    corpus_raw = dict(raw.get("corpus", {}))
-    trainer_raw = dict(raw.get("trainer", {}))
-    metrics_raw = dict(raw.get("metrics", {}))
-
-    if getattr(args, "seed", None) is not None:
-        search_raw["seed"] = args.seed
-    if getattr(args, "iterations", None) is not None:
-        search_raw["max_iterations"] = args.iterations
-    if getattr(args, "population", None) is not None:
-        search_raw["population_size"] = args.population
-    if getattr(args, "k", None) is not None:
-        search_raw["k"] = args.k
-    if getattr(args, "alpha", None) is not None:
-        search_raw["alpha"] = args.alpha
-    if getattr(args, "jobs", None) is not None:
-        search_raw["jobs"] = args.jobs
+    search_raw = {**raw.get("search", {}),
+                  **{field: getattr(args, flag) for flag, field in SEARCH_FLAGS.items()
+                     if getattr(args, flag, None) is not None}}
 
     try:
-        model_config = ModelConfig(**model_raw)
+        model = ModelConfig.from_json_dict(raw.get("model", {}))
         # the backbone length has one source of truth: the model section
-        search_raw["num_layers"] = model_config.num_layers
-        if "k" not in search_raw:
-            population = search_raw.get("population_size", 20)
-            search_raw["k"] = min(5, population)
-        search_config = SearchConfig(**search_raw)
-        optim = OptimConfig(
-            lr=float(trainer_raw.get("lr", 1e-3)),
-            warmup=int(trainer_raw.get("warmup", 60)),
-            batch_size=int(trainer_raw.get("batch_size", 8)),
-        )
+        num_layers = search_raw.setdefault("num_layers", model.num_layers)
+        if num_layers != model.num_layers:
+            raise ValueError(f"search.num_layers {num_layers!r} differs from "
+                             f"model.num_layers {model.num_layers}")
+        search_raw.setdefault("k", min(SearchConfig.k, search_raw.get(
+            "population_size", SearchConfig.population_size)))
+        search = SearchConfig(**search_raw)
+        given = {**raw, "corpus": {"seed": search.seed, **raw.get("corpus", {})}}
+        sections = {name: {key: _cast(given.get(name, {}).get(key, default), default,
+                                      f"{name}.{key}")
+                           for key, default in table.items()}
+                    for name, table in SECTION_DEFAULTS.items()}
+        optim = OptimConfig(**{key: value for key, value in sections["trainer"].items()
+                               if key != "steps"})
+        check_corpus_split(sections["corpus"]["size"],
+                           sections["corpus"]["heldout_fraction"])
+        for name, key in (("trainer", "steps"), ("metrics", "seeds")):
+            if sections[name][key] < 1:
+                raise ValueError(f"{name}.{key} must be >= 1, got {sections[name][key]}")
     except (TypeError, ValueError) as e:
         raise CliError(EXIT_CONFIG, f"bad configuration: {e}") from None
-
-    out_dir = getattr(args, "out_dir", None) or os.environ.get("OPNAS_OUT_DIR") \
-        or "opnas-out"
-    resolved = {
-        "search": asdict(search_config),
-        "model": model_config.to_json_dict(),
-        "corpus": {
-            "size": int(corpus_raw.get("size", DEFAULT_CORPUS_SIZE)),
-            "seed": int(corpus_raw.get("seed", search_config.seed)),
-            "heldout_fraction": float(corpus_raw.get("heldout_fraction", 0.125)),
-        },
-        "trainer": {
-            "steps": int(trainer_raw.get("steps", DEFAULT_TRAIN_STEPS)),
-            "lr": optim.lr,
-            "warmup": optim.warmup,
-            "batch_size": optim.batch_size,
-        },
-        "metrics": {
-            "seeds": int(metrics_raw.get("seeds", DEFAULT_METRIC_SEEDS)),
-        },
-        "out_dir": str(out_dir),
-    }
-    return resolved
-
-
-def _out_dir(resolved: dict) -> Path:
-    out = Path(resolved["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_resolved(resolved: dict, out: Path) -> None:
-    (out / "config.json").write_text(json.dumps(resolved, indent=2) + "\n")
-
-
-def _search_config(resolved: dict) -> SearchConfig:
-    return SearchConfig(**resolved["search"])
-
-
-def _model_config(resolved: dict) -> ModelConfig:
-    return ModelConfig.from_json_dict(resolved["model"])
-
-
-def _corpus(resolved: dict):
-    model_config = _model_config(resolved)
-    c = resolved["corpus"]
-    return synth_corpus(seed=c["seed"], size=c["size"], vocab=model_config.vocab,
-                        seq_len=model_config.seq_len,
-                        heldout_fraction=c["heldout_fraction"])
-
-
-def _optim(resolved: dict) -> OptimConfig:
-    t = resolved["trainer"]
-    return OptimConfig(lr=t["lr"], warmup=t["warmup"], batch_size=t["batch_size"])
+    return RunConfig(search, model, optim, **sections, out=_run_dir(args))
 
 
 def _load_spec(path: str):
@@ -235,13 +222,12 @@ def _load_supernet(path, model_config: ModelConfig) -> Supernet:
 
 
 def cmd_search(args) -> int:
-    resolved = _resolve(args)
-    out = _out_dir(resolved)
-    config_path = out / "config.json"
+    cfg = _resolve(args)
+    config_path = cfg.out / "config.json"
     previous = config_path.read_bytes() if config_path.exists() else None
-    _write_resolved(resolved, out)
+    cfg.write()
     try:
-        return _search(args, resolved, out)
+        return _search(args, cfg)
     except CliError as e:
         if e.code == EXIT_CHECKPOINT:  # a refused run leaves config.json as it was
             if previous is None:
@@ -251,32 +237,26 @@ def cmd_search(args) -> int:
         raise
 
 
-def _search(args, resolved: dict, out: Path) -> int:
-    search_config = _search_config(resolved)
-    model_config = _model_config(resolved)
-    corpus = _corpus(resolved)
-    optim = _optim(resolved)
-    steps = resolved["trainer"]["steps"]
-
-    source, biws_path = model_config, None
+def _search(args, cfg: RunConfig) -> int:
+    source, biws_path = cfg.model, None
     if args.biws:
         biws_path = Path(args.biws)
         if biws_path.exists():
-            source = _load_supernet(biws_path, model_config)
+            source = _load_supernet(biws_path, cfg.model)
         elif args.resume:
             # fresh weights would make the resumed history differ from an
             # uninterrupted run's
             raise CliError(EXIT_CHECKPOINT, f"cannot resume: no supernet checkpoint "
                                             f"at {biws_path}")
         else:
-            source = init_supernet(model_config, search_config.seed)
+            source = init_supernet(cfg.model, cfg.search.seed)
             source.save(biws_path)
-    evaluator = BiwsEvaluator(source, corpus, steps=steps, optim=optim,
-                              seed=search_config.seed, save_path=biws_path)
+    evaluator = BiwsEvaluator(source, cfg.build_corpus(), steps=cfg.trainer["steps"],
+                              optim=cfg.optim, seed=cfg.search.seed, save_path=biws_path)
 
     algo = {"op": search, "ea": vanilla_ea, "rs": random_search}[args.baseline]
     try:
-        records = algo(search_config, evaluator, out_dir=out, resume=args.resume,
+        records = algo(cfg.search, evaluator, out_dir=cfg.out, resume=args.resume,
                        clock=lambda: 0.0)
     except CheckpointError as e:
         raise CliError(EXIT_CHECKPOINT, str(e)) from None
@@ -285,20 +265,19 @@ def _search(args, resolved: dict, out: Path) -> int:
     if not records:
         raise CliError(EXIT_DATA, "search produced no evaluations")
     best = max(records, key=lambda r: (r.score, -r.id))
-    (out / "best.json").write_text(serialize(best.spec))
+    (cfg.out / "best.json").write_text(serialize(best.spec))
     print(f"evaluations: {len(records)}")
     print(f"best score: {best.score:.4f} (candidate {best.id})")
-    print(f"history: {out / 'history.jsonl'}")
-    print(f"best spec: {out / 'best.json'}")
+    print(f"history: {cfg.out / 'history.jsonl'}")
+    print(f"best spec: {cfg.out / 'best.json'}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    resolved = _resolve(args)
+    cfg = _resolve(args)
     spec = _load_spec(args.spec)
     # the spec file determines depth; width settings come from the config
-    model_config = dataclasses.replace(_model_config(resolved),
-                                       num_layers=len(spec.layers))
+    model_config = dataclasses.replace(cfg.model, num_layers=len(spec.layers))
     result: dict = {
         "valid": True,
         "params": count_params(spec, model_config),
@@ -308,12 +287,10 @@ def cmd_eval(args) -> int:
     # a dry run checks the checkpoint too
     source = _load_supernet(args.biws, model_config) if args.biws else model_config
     if not args.dry_run:
-        out = _out_dir(resolved)
-        _write_resolved(resolved, out)
+        cfg.write()
         # scored exactly as a search with this seed scores candidate 0
-        evaluator = BiwsEvaluator(source, _corpus(resolved),
-                                  steps=resolved["trainer"]["steps"],
-                                  optim=_optim(resolved), seed=resolved["search"]["seed"])
+        evaluator = BiwsEvaluator(source, cfg.build_corpus(), steps=cfg.trainer["steps"],
+                                  optim=cfg.optim, seed=cfg.search.seed)
         try:
             result["score"] = evaluator(spec, 0).score
         except (TrainingDiverged, NonFiniteError) as e:
@@ -323,40 +300,33 @@ def cmd_eval(args) -> int:
 
 
 def cmd_export_arch(args) -> int:
-    resolved = _resolve(args)
-    if args.name not in ARCH_NAMES:
-        raise CliError(EXIT_CONFIG,
-                       f"unknown architecture {args.name!r}; choose from "
-                       f"{', '.join(ARCH_NAMES)}")
-    num_layers = _model_config(resolved).num_layers
-    if args.name == "autobert-zero":
-        spec = autobert_zero_backbone(num_layers)
-    else:
-        spec = standard_backbone(num_layers)
-    out = _out_dir(resolved)
-    path = out / f"{args.name}.json"
+    cfg = _resolve(args)
+    if args.name not in ARCHS:
+        raise CliError(EXIT_CONFIG, f"unknown architecture {args.name!r}; choose from "
+                                    f"{', '.join(ARCHS)}")
+    try:
+        spec = ARCHS[args.name](cfg.model.num_layers)
+    except ValueError as e:  # autobert-zero pairs its layers
+        raise CliError(EXIT_CONFIG, f"bad configuration: {e}") from None
+    cfg.out.mkdir(parents=True, exist_ok=True)
+    path = cfg.out / f"{args.name}.json"
     path.write_text(serialize(spec))
     print(path)
     return EXIT_OK
 
 
 def cmd_metrics(args) -> int:
-    resolved = _resolve(args)
-    out = _out_dir(resolved)
-    _write_resolved(resolved, out)
-    model_config = _model_config(resolved)
-    corpus = _corpus(resolved)
-    optim = _optim(resolved)
-    steps = resolved["trainer"]["steps"]
-
+    cfg = _resolve(args)
+    cfg.write()
+    corpus = cfg.build_corpus()
     rows = []
     for path in args.specs:
         spec = _load_spec(path)
-        spec_config = dataclasses.replace(model_config, num_layers=len(spec.layers))
-        evaluator = BiwsEvaluator(spec_config, corpus, steps=steps, optim=optim,
-                                  seed=resolved["search"]["seed"])
+        spec_config = dataclasses.replace(cfg.model, num_layers=len(spec.layers))
+        evaluator = BiwsEvaluator(spec_config, corpus, steps=cfg.trainer["steps"],
+                                  optim=cfg.optim, seed=cfg.search.seed)
         tag = Path(path).stem
-        for s in range(resolved["metrics"]["seeds"]):
+        for s in range(cfg.metrics["seeds"]):
             try:
                 model = evaluator.train(spec, s)
                 report = uniformity_report([(tag, model)], corpus.heldout)[0]
@@ -364,7 +334,7 @@ def cmd_metrics(args) -> int:
                 raise CliError(EXIT_DATA, f"{tag} seed {s}: {e}") from None
             rows.append((tag, report["cosine"], report["residual"], s))
 
-    csv_path = out / "uniformity.csv"
+    csv_path = cfg.out / "uniformity.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["model", "cosine", "residual", "seed"])
@@ -374,8 +344,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_plot_data(args) -> int:
-    resolved = _resolve(args)
-    out = _out_dir(resolved)
+    out = _run_dir(args)
+    out.mkdir(parents=True, exist_ok=True)
     path = Path(args.history)
     try:
         records = read_history(path)
@@ -404,9 +374,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="search / training seed")
+    def add_common(p, config=True, seed=True):
+        if config:
+            p.add_argument("--config", help="JSON config file")
+        if seed:
+            p.add_argument("--seed", type=int, help="search / training seed")
         p.add_argument("--out-dir", dest="out_dir",
                        help="run directory (env OPNAS_OUT_DIR, default ./opnas-out)")
 
@@ -438,8 +410,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("export-arch", help="write a canonical architecture file")
-    add_common(p)
-    p.add_argument("name", help=f"one of: {', '.join(ARCH_NAMES)}")
+    add_common(p, seed=False)
+    p.add_argument("name", help=f"one of: {', '.join(ARCHS)}")
     p.set_defaults(func=cmd_export_arch)
 
     p = sub.add_parser("metrics", help="token-uniformity report for spec files")
@@ -448,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("plot-data", help="best-score-so-far table from a history")
-    add_common(p)
+    add_common(p, config=False, seed=False)
     p.add_argument("history", help="history.jsonl path")
     p.set_defaults(func=cmd_plot_data)
 

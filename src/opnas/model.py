@@ -32,7 +32,7 @@ candidates, ``opnas eval`` and ``opnas metrics`` go through
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -73,6 +73,7 @@ __all__ = [
     "init_param",
     "build_model",
     "synth_corpus",
+    "check_corpus_split",
     "bigram_successor",
     "mask_tokens",
     "mlm_pretrain",
@@ -119,9 +120,6 @@ class ModelConfig:
     def d_h(self) -> int:
         return self.d_model // self.n_heads
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "ModelConfig":
         return cls(**{k: int(v) for k, v in d.items()})
@@ -132,6 +130,14 @@ class OptimConfig:
     lr: float = 1e-3
     warmup: int = 60
     batch_size: int = 8
+
+    def __post_init__(self):
+        if not 0 < self.lr < float("inf"):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if self.warmup < 0:
+            raise ValueError(f"warmup must be >= 0, got {self.warmup}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass(frozen=True)
@@ -163,6 +169,15 @@ def bigram_successor(token: int, vocab: int) -> int:
     return CONTENT_LO + (token - CONTENT_LO + 1) % m
 
 
+def check_corpus_split(size: int, heldout_fraction: float) -> None:
+    """Refuse a split that leaves no training or no heldout sequence."""
+    if size < 2:
+        raise ValueError(f"size must be >= 2 (one training and one heldout "
+                         f"sequence), got {size}")
+    if not 0 < heldout_fraction < 1:
+        raise ValueError(f"heldout_fraction must be in (0, 1), got {heldout_fraction}")
+
+
 def synth_corpus(seed: int, size: int = 512, vocab: int = 64, seq_len: int = 32,
                  heldout_fraction: float = 0.125) -> Corpus:
     """Deterministic corpus with local bigram and long-range pair structure.
@@ -173,8 +188,7 @@ def synth_corpus(seed: int, size: int = 512, vocab: int = 64, seq_len: int = 32,
     """
     if vocab < MIN_VOCAB:
         raise ValueError(f"vocab must be >= {MIN_VOCAB}")
-    if size < 2:
-        raise ValueError("need at least one training and one heldout sequence")
+    check_corpus_split(size, heldout_fraction)
     rng = np.random.default_rng(seed)
     seqs = np.empty((size, seq_len), dtype=np.int64)
     for s in range(size):

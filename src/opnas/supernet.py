@@ -44,6 +44,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+from dataclasses import asdict
 from pathlib import Path
 from typing import Mapping
 
@@ -127,7 +128,7 @@ class Supernet:
         path = Path(path)
         meta = {
             "version": CHECKPOINT_VERSION,
-            "config": self.config.to_json_dict(),
+            "config": asdict(self.config),
             "layer_versions": list(self.versions),
             "rng_state": self.rng_state,
             "keys": self.keys(),

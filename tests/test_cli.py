@@ -285,6 +285,80 @@ def test_unknown_config_key_is_exit_2(section, key, tmp_path, capsys):
     assert not (out / "config.json").exists()
 
 
+BAD_VALUES = [("trainer", "lr", -1), ("trainer", "lr", 0), ("trainer", "warmup", -5),
+              ("trainer", "steps", 0), ("trainer", "batch_size", 0),
+              ("corpus", "size", 1), ("corpus", "heldout_fraction", 1.0),
+              ("trainer", "steps", "abc"), ("metrics", "seeds", 0),
+              ("corpus", "heldout_fraction", -0.5)]
+
+
+@pytest.mark.parametrize("section,key,value", BAD_VALUES,
+                         ids=[f"{s}.{k}={v}" for s, k, v in BAD_VALUES])
+@pytest.mark.parametrize("command", ["search", "metrics"])
+def test_bad_config_value_is_exit_2(command, section, key, value, tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({**TINY_CFG, section: {**TINY_CFG.get(section, {}),
+                                                     key: value}}))
+    spec_path = tmp_path / "std.json"
+    spec_path.write_text(serialize(standard_backbone(2)))
+    argv = ("metrics", spec_path) if command == "metrics" else ("search",)
+    out = tmp_path / "run"
+    assert run(*argv, "--config", cfg, "--out-dir", out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and key in err[0], err
+    assert not (out / "config.json").exists()
+
+
+def test_search_num_layers_must_equal_the_models(tmp_path, capsys):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "run"
+    cfg.write_text(json.dumps({**TINY_CFG, "search": {**TINY_CFG["search"],
+                                                     "num_layers": 4}}))
+    assert run("search", "--config", cfg, "--out-dir", out) == 2
+    assert capsys.readouterr().err.strip() == ("error: bad configuration: "
+                                               "search.num_layers 4 differs from "
+                                               "model.num_layers 2")
+    assert not (out / "config.json").exists()
+    cfg.write_text(json.dumps({**TINY_CFG, "search": {**TINY_CFG["search"],
+                                                     "num_layers": 2}}))
+    assert run("search", "--config", cfg, "--out-dir", out) == 0
+    assert json.loads((out / "config.json").read_text())["search"]["num_layers"] == 2
+
+
+def test_config_json_is_a_valid_config(tiny_cfg, tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run("search", "--config", tiny_cfg, "--out-dir", a) == 0
+    assert run("search", "--config", a / "config.json", "--out-dir", b) == 0
+    for name in ("history.jsonl", "config.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    assert run("search", "--config", a / "config.json", "--out-dir", a, "--resume",
+               "--iterations", "4") == 0
+    assert json.loads((a / "config.json").read_text())["search"]["max_iterations"] == 4
+
+
+def test_search_writes_the_resolved_config(tmp_path):
+    cfg = json.loads(json.dumps(TINY_CFG))
+    del cfg["search"]["k"]
+    path, out = tmp_path / "cfg.json", tmp_path / "run"
+    path.write_text(json.dumps(cfg))
+    assert run("search", "--config", path, "--out-dir", out, "--seed", "5",
+               "--population", "3") == 0
+    resolved = json.loads((out / "config.json").read_text())
+    resolved.pop("out_dir", None)  # where the file sits is not pinned here
+    pinned = {
+        "search": {"population_size": 3, "k": 3, "alpha": 0.5, "max_iterations": 2,
+                   "children_per_parent": 1, "seed": 5, "patience": 10,
+                   "num_layers": 2, "max_path_len": 12, "max_evaluations": None,
+                   "jobs": 1},
+        "model": {"num_layers": 2, "d_model": 16, "n_heads": 2, "vocab": 32,
+                  "seq_len": 16, "ffn_ratio": 4},
+        "corpus": {"size": 32, "seed": 5, "heldout_fraction": 0.125},
+        "trainer": {"steps": 4, "lr": 0.001, "warmup": 2, "batch_size": 4},
+        "metrics": {"seeds": 1},
+    }
+    # every section, key and value, in order
+    assert json.dumps(resolved) == json.dumps(pinned)
+
+
 def test_out_dir_env_fallback(tiny_cfg, tmp_path, monkeypatch):
     env_dir = tmp_path / "from-env"
     monkeypatch.setenv("OPNAS_OUT_DIR", str(env_dir))
@@ -455,6 +529,29 @@ def test_export_arch_matches_golden(tmp_path):
 
 def test_export_arch_unknown_is_exit_2(tmp_path):
     assert run("export-arch", "mystery-net", "--out-dir", tmp_path) == 2
+
+
+def test_export_arch_of_an_odd_depth_is_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"num_layers": 3}}))
+    out = tmp_path / "arch"
+    assert run("export-arch", "autobert-zero", "--config", cfg, "--out-dir", out) == 2
+    assert capsys.readouterr().err.strip() == \
+        "error: bad configuration: layer count must be even and >= 2, got 3"
+    assert run("export-arch", "standard-attention", "--config", cfg,
+               "--out-dir", out) == 0
+    assert len(deserialize((out / "standard-attention.json").read_text()).layers) == 3
+
+
+@pytest.mark.parametrize("argv", [("export-arch", "autobert-zero", "--seed", "1"),
+                                  ("plot-data", "h.jsonl", "--seed", "1"),
+                                  ("plot-data", "h.jsonl", "--config", "c.json")],
+                         ids=["export-arch-seed", "plot-data-seed", "plot-data-config"])
+def test_commands_refuse_flags_they_do_not_read(argv, tmp_path):
+    with pytest.raises(SystemExit) as exit_:
+        run(*argv, "--out-dir", tmp_path / "o")
+    assert exit_.value.code == 2
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,20 @@ def test_corpus_validation():
         synth_corpus(seed=0, size=0, vocab=32, seq_len=16)
 
 
+@pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, 1.5])
+def test_corpus_refuses_a_heldout_fraction_outside_0_1(fraction):
+    with pytest.raises(ValueError, match="heldout_fraction must be in"):
+        synth_corpus(seed=0, size=8, vocab=32, seq_len=16, heldout_fraction=fraction)
+
+
+@pytest.mark.parametrize("field,value", [("lr", 0.0), ("lr", -1e-3), ("lr", float("nan")),
+                                         ("lr", float("inf")), ("warmup", -1),
+                                         ("batch_size", 0)])
+def test_optim_config_refuses_out_of_range_values(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        OptimConfig(**{field: value})
+
+
 # ---------------------------------------------------------------------------
 # masking
 
