@@ -177,6 +177,8 @@ def _resolve(args) -> RunConfig:
         search_raw.setdefault("k", min(SearchConfig.k, search_raw.get(
             "population_size", SearchConfig.population_size)))
         search = SearchConfig(**search_raw)
+        if search.seed < 0:  # seeds numpy generators, which take none below 0
+            raise ValueError(f"search.seed must be >= 0, got {search.seed}")
         given = {**raw, "corpus": {"seed": search.seed, **raw.get("corpus", {})}}
         sections = {name: {key: _cast(given.get(name, {}).get(key, default), default,
                                       f"{name}.{key}")
@@ -186,9 +188,11 @@ def _resolve(args) -> RunConfig:
                                if key != "steps"})
         check_corpus_split(sections["corpus"]["size"],
                            sections["corpus"]["heldout_fraction"])
-        for name, key in (("trainer", "steps"), ("metrics", "seeds")):
-            if sections[name][key] < 1:
-                raise ValueError(f"{name}.{key} must be >= 1, got {sections[name][key]}")
+        for name, key, low in (("trainer", "steps", 1), ("metrics", "seeds", 1),
+                               ("corpus", "seed", 0)):
+            if sections[name][key] < low:
+                raise ValueError(f"{name}.{key} must be >= {low}, "
+                                 f"got {sections[name][key]}")
     except (TypeError, ValueError) as e:
         raise CliError(EXIT_CONFIG, f"bad configuration: {e}") from None
     return RunConfig(search, model, optim, **sections, out=_run_dir(args))

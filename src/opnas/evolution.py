@@ -169,8 +169,8 @@ class SearchConfig:
     def __post_init__(self):
         if not self.population_size >= self.k >= 1:
             raise ValueError("need population_size >= k >= 1")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
         if self.children_per_parent < 1 or self.max_iterations < 0:
             raise ValueError("children_per_parent >= 1 and max_iterations >= 0")
         if self.jobs < 1:

@@ -14,9 +14,9 @@ training step, a proxy chunk or a uniformity pass is one graph.
 ``search_space.param_shapes`` is the one parameter table: it names and
 shapes every model parameter (``layer{i}.att.{q,k,v,p}``,
 ``layer{i}.conv.kernel``, ...) and, called without a spec, every supernet
-store key. Weights move between a model and the supernet as they are,
-under the same names; only a kernel shorter than 65 taps travels as a
-(transform, slice) pair.
+store key. Weights move between a model and the supernet under the same
+names: a short kernel is the stored kernel's center rows, convolved through
+its ``layer{i}.conv.transform.{k}`` when the model holds that store key.
 
 The corpus is synthetic and deterministic: sequences follow a cyclic
 bigram template with probability 0.8 (local structure a small conv can
@@ -109,6 +109,8 @@ class ModelConfig:
     ffn_ratio: int = 4
 
     def __post_init__(self):
+        if self.num_layers < 1:
+            raise ValueError(f"num_layers must be >= 1, got {self.num_layers}")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
         if self.seq_len < 8:
@@ -209,13 +211,18 @@ def synth_corpus(seed: int, size: int = 512, vocab: int = 64, seq_len: int = 32,
                   vocab=vocab, seq_len=seq_len, seed=seed)
 
 
-def mask_tokens(seq: np.ndarray, rng: np.random.Generator,
-                vocab: int) -> tuple[np.ndarray, np.ndarray]:
-    """Standard MLM corruption: 15% positions; 80% mask / 10% random / 10% kept."""
-    n = len(seq)
+def _mask_positions(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Each of n positions masked with probability MASK_FRACTION, at least one."""
     mask = rng.random(n) < MASK_FRACTION
     if not mask.any():
         mask[int(rng.integers(n))] = True
+    return mask
+
+
+def mask_tokens(seq: np.ndarray, rng: np.random.Generator,
+                vocab: int) -> tuple[np.ndarray, np.ndarray]:
+    """Standard MLM corruption: 15% positions; 80% mask / 10% random / 10% kept."""
+    mask = _mask_positions(len(seq), rng)
     corrupted = seq.copy()
     for i in np.flatnonzero(mask):
         r = rng.random()
@@ -271,7 +278,7 @@ class Model:
             if layer.kind == "attention":
                 x = self._attention_block(i, layer.dag, x)
             else:
-                x = self._conv_block(i, x)
+                x = self._conv_block(i, layer.kernel, x)
         return x
 
     def forward(self, ids: np.ndarray) -> Tensor:
@@ -293,13 +300,13 @@ class Model:
         return layer_norm(add(x, ffn),
                           p[f"layer{i}.ln_ffn.gain"], p[f"layer{i}.ln_ffn.bias"])
 
-    def _conv_block(self, i: int, x: Tensor) -> Tensor:
+    def _conv_block(self, i: int, k: int, x: Tensor) -> Tensor:
         p = self.params
         gated = glu(matmul(x, p[f"layer{i}.conv.proj"]))
-        if f"layer{i}.conv.kernel" in p:
-            kernel = p[f"layer{i}.conv.kernel"]
-        else:
-            kernel = matmul(p[f"layer{i}.conv.transform"], p[f"layer{i}.conv.slice"])
+        kernel = p[f"layer{i}.conv.kernel"]
+        transform = p.get(f"layer{i}.conv.transform.{k}")
+        if transform is not None:
+            kernel = matmul(transform, kernel)
         out = depthwise_conv1d(gated, kernel)
         return layer_norm(add(x, out),
                           p[f"layer{i}.ln_conv.gain"], p[f"layer{i}.ln_conv.bias"])
@@ -308,8 +315,8 @@ class Model:
 def init_param(key: str, shape: tuple, rng: np.random.Generator) -> np.ndarray:
     """Fresh value of one ``param_shapes`` entry, model parameter or store key.
 
-    Layer-norm gains are 1 and biases 0, a supernet's ``.conv.transform.{k}``
-    is the identity (a model's table has no such key), and anything else is
+    Layer-norm gains are 1 and biases 0, a ``.conv.transform.{k}`` is the
+    identity (only the supernet's table has such keys), and anything else is
     drawn from ``rng`` as normal(0, INIT_STD).
     """
     if key.endswith(".gain"):
@@ -327,8 +334,10 @@ def build_model(spec: BackboneSpec, config: ModelConfig,
     """Assemble a model from fresh-random weights or a provided parameter set.
 
     With ``params`` (e.g. a supernet extraction) arrays are copied in and
-    validated against the spec; a dag input with no matching projection is
-    a hard error. Fresh weights come from ``init_param``, drawn in
+    validated against the spec: every ``param_shapes`` entry, plus a conv
+    layer's ``layer{i}.conv.transform.{k}`` (k x k) when ``params`` holds
+    one. A missing entry, such as a dag input with no matching projection,
+    is a hard error. Fresh weights come from ``init_param``, drawn in
     ``param_shapes`` order.
     """
     if len(spec.layers) != config.num_layers:
@@ -337,21 +346,11 @@ def build_model(spec: BackboneSpec, config: ModelConfig,
     built: dict[str, Parameter] = {}
     if params is not None:
         needed = param_shapes(config, spec)
+        for i, layer in enumerate(spec.layers):
+            transform = f"layer{i}.conv.transform.{layer.kernel}"
+            if layer.kind == "conv" and transform in params:
+                needed[transform] = (layer.kernel, layer.kernel)
         for name, shape in needed.items():
-            if name.endswith(".conv.kernel") and name not in params:
-                # supernet extraction supplies a (transform, slice) pair instead
-                stem = name.rsplit(".", 1)[0]
-                t_name, s_name = f"{stem}.transform", f"{stem}.slice"
-                if t_name not in params or s_name not in params:
-                    raise ValueError(f"missing parameter {name} "
-                                     f"(or {t_name} + {s_name})")
-                k = shape[0]
-                for pname, pshape in ((t_name, (k, k)), (s_name, (k, config.d_model))):
-                    arr = np.asarray(params[pname], dtype=np.float64)
-                    if arr.shape != pshape:
-                        raise ValueError(f"{pname}: shape {arr.shape} != {pshape}")
-                    built[pname] = Parameter(arr.copy(), name=pname)
-                continue
             if name not in params:
                 raise ValueError(f"missing parameter {name}")
             arr = np.asarray(params[name], dtype=np.float64)
@@ -422,11 +421,7 @@ def mlm_pretrain(model: Model, corpus: Corpus, steps: int,
 
 def _eval_mask(seq: np.ndarray, mask_seed: int) -> np.ndarray:
     """The fixed evaluation mask of one sequence, seeded by its content."""
-    rng = np.random.default_rng([mask_seed, *seq])
-    mask = rng.random(len(seq)) < MASK_FRACTION
-    if not mask.any():
-        mask[int(rng.integers(len(seq)))] = True
-    return mask
+    return _mask_positions(len(seq), np.random.default_rng([mask_seed, *seq]))
 
 
 def proxy_evaluate(model: Model, heldout: np.ndarray, mask_seed: int = 0) -> ProxyScore:

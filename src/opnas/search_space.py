@@ -4,9 +4,9 @@ and the parameter table (``param_shapes``) models and the supernet share.
 An attention candidate is a small DAG over the projected inputs q, k, v, p
 (each n x d_h) built from ten primitive ops. ``validate`` is the one
 legality rule: 2..4 distinct declared inputs, each referenced, at most
-MAX_PATH_LEN nodes, and shapes decided purely symbolically: they live in a
-closed set over the symbols {n, dh}, every node type-checks and the final
-node comes out n x d_h again. A backbone is an ordered list of layers,
+MAX_PATH_LEN nodes, and shapes decided purely symbolically: every shape is
+a pair over the symbols {n, dh}, every node type-checks and the final node
+comes out n x d_h again. A backbone is an ordered list of layers,
 each either an attention dag or a lightweight convolution with a kernel
 size from a fixed menu. Parsing (``deserialize``, ``backbone_from_payload``)
 runs ``validate`` on every attention layer, so a spec file or history row
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import random
@@ -83,12 +84,15 @@ INPUT_NAMES = ("q", "k", "v", "p")
 
 MAX_PATH_LEN = 12
 
-# symbolic shapes: tuples over {"n", "dh"}; () is scalar. Closed under all ops.
+# edits mutate_intra tries before it returns the parent unchanged
+MUTATE_RETRIES = 50
+
+# symbolic shapes: pairs over {"n", "dh"}. Every input is (n, dh), and every
+# shape rule maps pairs to pairs
 SHAPE_ND = ("n", "dh")
-_SHAPE_SET = {("n", "dh"), ("dh", "n"), ("n", "n"), ("dh", "dh"), ()}
 
 Ref = int | str
-Shape = tuple[str, ...]
+Shape = tuple[str, str]
 
 
 class IllegalGraph(ValueError):
@@ -212,33 +216,22 @@ class BackboneSpec:
 
 
 def _apply_shape_rule(op: str, shapes: Sequence[Shape]) -> Shape:
-    """Output shape for one node, or raise ValueError with the reason."""
-    if op in UNARY_OPS:
+    """Output shape of a known op on operand shapes of its arity, or raise
+    ValueError with the reason."""
+    if op == "transpose":
         (s,) = shapes
-        if op == "transpose":
-            if len(s) != 2:
-                raise ValueError(f"transpose needs rank 2, got {s}")
-            return (s[1], s[0])
-        if op in ("scale", "softmax") and len(s) < 1:
-            raise ValueError(f"{op} needs rank >= 1, got scalar")
-        return s
-    if op in BINARY_OPS:
-        a, b = shapes
-        if op == "add":
-            if a != b:
-                raise ValueError(f"add needs equal shapes, got {a} and {b}")
-            return a
-        if op == "matmul":
-            if len(a) != 2 or len(b) != 2:
-                raise ValueError(f"matmul needs rank-2 operands, got {a} and {b}")
-            if a[1] != b[0]:
-                raise ValueError(f"matmul inner symbols differ: {a} x {b}")
-            return (a[0], b[1])
-        # cosine / euclidean: row-pairwise over two equally shaped matrices
-        if len(a) != 2 or a != b:
-            raise ValueError(f"{op} needs two equal rank-2 shapes, got {a} and {b}")
-        return (a[0], a[0])
-    raise ValueError(f"unknown op {op!r}")
+        return (s[1], s[0])
+    if op in UNARY_OPS:
+        return shapes[0]
+    a, b = shapes
+    if op == "matmul":
+        if a[1] != b[0]:
+            raise ValueError(f"matmul inner symbols differ: {a} x {b}")
+        return (a[0], b[1])
+    if a != b:
+        raise ValueError(f"{op} needs equal shapes, got {a} and {b}")
+    # add keeps the shape; cosine / euclidean compare rows pairwise
+    return a if op == "add" else (a[0], a[0])
 
 
 def infer_shapes(dag: AttentionDag) -> list[Shape]:
@@ -272,8 +265,6 @@ def infer_shapes(dag: AttentionDag) -> list[Shape]:
             out = _apply_shape_rule(node.op, arg_shapes)
         except ValueError as e:
             raise IllegalGraph(i, str(e)) from None
-        if out not in _SHAPE_SET:
-            raise IllegalGraph(i, f"shape {out} escapes the closed set")
         table.append(out)
     if not table:
         raise IllegalGraph(0, "empty dag has no output")
@@ -342,40 +333,39 @@ def uniform_kernel_distribution(layer: int) -> dict[int, float]:
 
 def _legal_arg_tuples(op: str, refs: Sequence[Ref],
                       shapes: Mapping[Ref, Shape]) -> list[tuple[Ref, ...]]:
+    """Every argument tuple over ``refs`` that ``op`` type-checks on, the
+    first argument varying slowest."""
     out = []
-    if op in UNARY_OPS:
-        for r in refs:
-            try:
-                _apply_shape_rule(op, [shapes[r]])
-            except ValueError:
-                continue
-            out.append((r,))
-        return out
-    for a in refs:
-        for b in refs:
-            try:
-                _apply_shape_rule(op, [shapes[a], shapes[b]])
-            except ValueError:
-                continue
-            out.append((a, b))
+    for args in itertools.product(refs, repeat=1 if op in UNARY_OPS else 2):
+        try:
+            _apply_shape_rule(op, [shapes[r] for r in args])
+        except ValueError:
+            continue
+        out.append(args)
     return out
 
 
-def _sample_op(dist: Mapping[str, float], rng: random.Random,
-               allowed: Sequence[str] = ALL_OPS) -> str:
-    """Draw an op from ``dist`` restricted to ``allowed``.
+def _placeable(refs: Sequence[Ref], shapes: Mapping[Ref, Shape]) -> dict:
+    """op -> its legal argument tuples over ``refs``, for the ops that have
+    any, in ``ALL_OPS`` order."""
+    table = {op: _legal_arg_tuples(op, refs, shapes) for op in ALL_OPS}
+    return {op: legal for op, legal in table.items() if legal}
 
-    Restriction matters: a distribution can put all its mass on ops with no
-    legal arguments at the slot being mutated (they stay unseen there
-    forever), and sampling those would turn every such mutation into a
-    no-op. Zero mass on the allowed set falls back to uniform over it.
-    Canonical op order keeps draws reproducible regardless of dict history.
+
+def _sample(choices: Sequence, dist: Mapping, rng: random.Random):
+    """Draw one of ``choices`` with the weights ``dist`` gives them.
+
+    Callers pass only what can be placed: a distribution can put all its
+    mass on ops with no legal arguments at the slot being mutated (they
+    stay unseen there forever), and drawing those would turn every such
+    mutation into a no-op. Zero mass on ``choices`` falls back to uniform
+    over them. ``choices`` comes in a fixed order (``ALL_OPS``,
+    ``KERNEL_MENU``), so draws do not depend on dict history.
     """
-    ops = [op for op in ALL_OPS if op in allowed]
-    weights = [max(float(dist.get(op, 0.0)), 0.0) for op in ops]
+    weights = [max(float(dist.get(c, 0.0)), 0.0) for c in choices]
     if sum(weights) <= 0.0:
-        weights = [1.0] * len(ops)
-    return rng.choices(ops, weights=weights, k=1)[0]
+        weights = [1.0] * len(choices)
+    return rng.choices(choices, weights=weights, k=1)[0]
 
 
 def random_dag(rng: random.Random, max_len: int = MAX_PATH_LEN,
@@ -402,7 +392,7 @@ def random_dag(rng: random.Random, max_len: int = MAX_PATH_LEN,
             rng.shuffle(ops)
             for op in ops:
                 legal = _legal_arg_tuples(op, refs, shapes)
-                if legal:  # some op always fits: a unary op takes any rank-2 ref
+                if legal:  # some op always fits: a unary op takes any ref
                     break
             node = DagNode(op, rng.choice(legal))
             shapes[i] = _apply_shape_rule(node.op, [shapes[r] for r in node.args])
@@ -428,35 +418,24 @@ def _shift_refs(node: DagNode, at: int) -> DagNode:
 
 def _mutate_replace(dag, env, dists, rng):
     pos = rng.randrange(len(dag.nodes))
-    refs = list(dag.inputs) + list(range(pos))
-    placeable = [op for op in ALL_OPS if _legal_arg_tuples(op, refs, env)]
-    op = _sample_op(dists(pos), rng, placeable)
-    old = dag.nodes[pos]
-    arity = 1 if op in UNARY_OPS else 2
-    args = old.args
-    if len(args) != arity or not _legal_args_ok(op, args, env):
-        args = rng.choice(_legal_arg_tuples(op, refs, env))
+    table = _placeable(list(dag.inputs) + list(range(pos)), env)
+    op = _sample(list(table), dists(pos), rng)
+    # the parent's args stay when the new op type-checks on them
+    args = dag.nodes[pos].args
+    if args not in table[op]:
+        args = rng.choice(table[op])
     nodes = list(dag.nodes)
     nodes[pos] = DagNode(op, args)
     return AttentionDag(dag.inputs, tuple(nodes))
-
-
-def _legal_args_ok(op, args, env):
-    try:
-        _apply_shape_rule(op, [env[r] for r in args])
-    except (ValueError, KeyError):
-        return False
-    return True
 
 
 def _mutate_insert(dag, env, dists, rng, max_len):
     if len(dag.nodes) >= max_len:
         return None
     pos = rng.randrange(len(dag.nodes) + 1)
-    refs = list(dag.inputs) + list(range(pos))
-    placeable = [op for op in ALL_OPS if _legal_arg_tuples(op, refs, env)]
-    op = _sample_op(dists(pos), rng, placeable)
-    new_node = DagNode(op, rng.choice(_legal_arg_tuples(op, refs, env)))
+    table = _placeable(list(dag.inputs) + list(range(pos)), env)
+    op = _sample(list(table), dists(pos), rng)
+    new_node = DagNode(op, rng.choice(table[op]))
     new_shape = _apply_shape_rule(op, [env[r] for r in new_node.args])
     nodes = [_shift_refs(n, pos) if i >= pos else n for i, n in enumerate(dag.nodes)]
     nodes.insert(pos, new_node)
@@ -527,15 +506,15 @@ def _mutate_toggle(dag, env, rng):
 
 
 def mutate_intra(parent: AttentionDag, dists: DistFn, rng: random.Random,
-                 max_len: int = MAX_PATH_LEN, retries: int = 50) -> AttentionDag:
+                 max_len: int = MAX_PATH_LEN) -> AttentionDag:
     """One edit (replace / insert / delete / toggle-input) on a valid dag.
 
     Replace and insert draw the op from ``dists(position)``, the caller's
     per-position distribution. Falls back to the unmodified parent when no
-    valid child is found within the retry budget.
+    valid child is found in MUTATE_RETRIES edits.
     """
     env = _node_shapes_env(parent)
-    for _ in range(retries):
+    for _ in range(MUTATE_RETRIES):
         kind = rng.choice(("replace", "insert", "delete", "toggle"))
         if kind == "replace":
             child = _mutate_replace(parent, env, dists, rng)
@@ -563,7 +542,7 @@ def mutate_inter(parent: BackboneSpec, kernel_dists: KernelDistFn,
     layers = list(parent.layers)
     layer = layers[li]
     if layer.kind == "attention":
-        layers[li] = LayerSpec.conv(_sample_kernel(kernel_dists(li), rng))
+        layers[li] = LayerSpec.conv(_sample(KERNEL_MENU, kernel_dists(li), rng))
     elif rng.random() < 0.5:
         donors = [l.dag for l in parent.layers if l.kind == "attention"]
         if donors and rng.random() < 0.5:
@@ -571,15 +550,8 @@ def mutate_inter(parent: BackboneSpec, kernel_dists: KernelDistFn,
         else:
             layers[li] = LayerSpec.attention(random_dag(rng, max_len))
     else:
-        layers[li] = LayerSpec.conv(_sample_kernel(kernel_dists(li), rng))
+        layers[li] = LayerSpec.conv(_sample(KERNEL_MENU, kernel_dists(li), rng))
     return BackboneSpec(tuple(layers))
-
-
-def _sample_kernel(dist: Mapping[int, float], rng: random.Random) -> int:
-    weights = [max(float(dist.get(k, 0.0)), 0.0) for k in KERNEL_MENU]
-    if sum(weights) <= 0.0:
-        weights = [1.0] * len(KERNEL_MENU)
-    return rng.choices(KERNEL_MENU, weights=weights, k=1)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ k x k transformation matrix per smaller kernel size, shared across
 channels (the elastic-kernel transforms of Once-for-All, Cai et al. 2020,
 arXiv:1908.09791). Candidates initialize by extraction - attention layers
 take the projections for the inputs their dag uses, conv layers take the
-center slice of the big kernel mapped through the transformation matrix -
+center rows of the big kernel and the transformation matrix of their size -
 train briefly, and the best child of each search iteration writes its
 trained weights back. The search loop keeps only that child's weights
 (the running best of the batch) and hands them to the write-back hook; a
@@ -17,9 +17,9 @@ supernet is the only weight set that outlives its candidate.
 
 Store keys and shapes are ``opnas.search_space.param_shapes(config)``, the
 table models are built from, so a model parameter and its store entry
-share one name and one shape and are copied across without reshaping.
-A fresh store draws every entry with ``opnas.model.init_param``, the rule
-a fresh model uses.
+share one name and are copied across without reshaping; a k-tap kernel
+holds the stored kernel's k center rows. A fresh store draws every entry
+with ``opnas.model.init_param``, the rule a fresh model uses.
 
 ``BiwsEvaluator`` is the one candidate evaluator of the package: searches,
 ``opnas eval`` and ``opnas metrics`` all train through its ``train``. Its
@@ -27,12 +27,12 @@ weight source is either a supernet (extraction in, write-back after each
 iteration) or a ``ModelConfig`` (fresh weights, nothing kept); either
 way one generator keyed by (seed, candidate id) drives the candidate.
 
-Write-back keeps the stored 65-kernel the single source of truth: the
-candidate trains the transform T and the slice S jointly (its effective
-kernel is T @ S), and write_back stores T and solves T^-1 (T S) = S back
-into the center rows. Parameters the search never varies (embeddings,
-FFNs, layer norms) live in the same store and follow the same
-best-child-writes-back rule.
+Write-back stores every trained array under its own name and keeps the
+stored 65-kernel the single source of truth: the candidate trains the
+transform T and the short kernel S jointly (its effective kernel is
+T @ S), and write-back stores T and solves T^-1 (T S) = S back into the
+center rows. Parameters the search never varies (embeddings, FFNs, layer
+norms) live in the same store and follow the same best-child-writes-back rule.
 
 Checkpoint format: one .npz container holding every weight array under its
 store key, plus a ``__meta__`` JSON string with {version, config,
@@ -202,22 +202,29 @@ def write_back(sn: Supernet, layer: int, weights: Mapping[str, np.ndarray],
         k = kernel.shape[0]
         if k == MAX_KERNEL:
             _checked_assign(sn, f"layer{layer}.conv.kernel", kernel)
+        elif k not in TRANSFORM_SIZES:
+            raise ValueError(f"kernel size {k} not in menu {KERNEL_MENU}")
         else:
-            if k not in TRANSFORM_SIZES:
-                raise ValueError(f"kernel size {k} not in menu {KERNEL_MENU}")
-            transform = np.asarray(weights["transform"], dtype=np.float64)
-            _checked_assign(sn, f"layer{layer}.conv.transform.{k}", transform)
-            if np.linalg.cond(transform) > COND_LIMIT:
-                log.warning("layer %d kernel %d transform ill-conditioned; "
-                            "using pseudo-inverse", layer, k)
-                slice_rows = np.linalg.pinv(transform) @ kernel
-            else:
-                slice_rows = np.linalg.solve(transform, kernel)
-            sn.store[f"layer{layer}.conv.kernel"][center_slice(k)] = slice_rows
+            _write_back_kernel(sn, f"layer{layer}.conv", weights["transform"], kernel)
     else:
         raise ValueError(f"unknown layer kind {kind!r}")
     sn.versions[layer] += 1
     return sn
+
+
+def _write_back_kernel(sn: Supernet, stem: str, transform, kernel: np.ndarray) -> None:
+    """Store ``transform`` as ``{stem}.transform.{k}`` and solve it out of
+    ``kernel``, the k-tap effective kernel, into the 65-kernel's center rows."""
+    k = kernel.shape[0]
+    transform = np.asarray(transform, dtype=np.float64)
+    _checked_assign(sn, f"{stem}.transform.{k}", transform)
+    if np.linalg.cond(transform) > COND_LIMIT:
+        log.warning("%s kernel %d transform ill-conditioned; using pseudo-inverse",
+                    stem, k)
+        rows = np.linalg.pinv(transform) @ kernel
+    else:
+        rows = np.linalg.solve(transform, kernel)
+    sn.store[f"{stem}.kernel"][center_slice(k)] = rows
 
 
 def _checked_assign(sn: Supernet, key: str, value) -> None:
@@ -233,22 +240,22 @@ def _checked_assign(sn: Supernet, key: str, value) -> None:
 
 
 def init_candidate(sn: Supernet, spec: BackboneSpec) -> dict[str, np.ndarray]:
-    """Model parameter set for ``spec``: copies of the store under its keys.
+    """Model parameter set for ``spec``: copies of store arrays under their keys.
 
-    Conv layers with k < 65 get a (transform, slice) pair whose product is
-    the effective kernel, so the transform keeps training with the
-    candidate and write-back can invert it.
+    A conv layer with k < 65 gets the stored kernel's k center rows and the
+    store's k x k transform, whose product is the effective kernel, so the
+    transform keeps training with the candidate and write-back can invert it.
     """
     if len(spec.layers) != sn.config.num_layers:
         raise ValueError(f"spec has {len(spec.layers)} layers, supernet expects "
                          f"{sn.config.num_layers}")
     params: dict[str, np.ndarray] = {}
     for name, shape in param_shapes(sn.config, spec).items():
-        if name.endswith(".conv.kernel") and shape[0] != MAX_KERNEL:
-            k = shape[0]
-            stem = name.removesuffix(".kernel")
-            params[f"{stem}.transform"] = sn.store[f"{stem}.transform.{k}"].copy()
-            params[f"{stem}.slice"] = sn.store[name][center_slice(k)].copy()
+        k = shape[0]
+        if name.endswith(".conv.kernel") and k != MAX_KERNEL:
+            params[name] = sn.store[name][center_slice(k)].copy()
+            transform = name.replace(".kernel", f".transform.{k}")
+            params[transform] = sn.store[transform].copy()
         else:
             params[name] = sn.store[name].copy()
     return params
@@ -256,26 +263,18 @@ def init_candidate(sn: Supernet, spec: BackboneSpec) -> dict[str, np.ndarray]:
 
 def _write_back_candidate(sn: Supernet, spec: BackboneSpec,
                           trained: Mapping[str, np.ndarray]) -> None:
-    """Fold one trained candidate into the supernet (branches then glue)."""
-    for i, layer in enumerate(spec.layers):
-        if layer.kind == "attention":
-            weights = {name: trained[f"layer{i}.att.{name}"]
-                       for name in (*layer.dag.inputs, "wo")}
-            write_back(sn, i, weights, "attention")
-        else:
-            k = layer.kernel
-            weights = {"proj": trained[f"layer{i}.conv.proj"]}
-            if k == MAX_KERNEL:
-                weights["kernel"] = trained[f"layer{i}.conv.kernel"]
-            else:
-                transform = trained[f"layer{i}.conv.transform"]
-                weights["transform"] = transform
-                weights["kernel"] = transform @ trained[f"layer{i}.conv.slice"]
-            write_back(sn, i, weights, "conv")
-    # the glue: embeddings, FFNs and layer norms, outside both branches
-    for name in param_shapes(sn.config, spec):
-        if ".att." not in name and ".conv." not in name:
-            _checked_assign(sn, name, trained[name])
+    """Fold one trained candidate into the supernet, each array under its own
+    name (a short kernel with its transform); bumps every layer's version."""
+    for name, value in trained.items():
+        k = len(value)
+        if name.endswith(".conv.kernel") and k != MAX_KERNEL:
+            stem = name.removesuffix(".kernel")
+            transform = trained[f"{stem}.transform.{k}"]
+            _write_back_kernel(sn, stem, transform, transform @ value)
+        elif ".conv.transform." not in name:  # written with its kernel
+            _checked_assign(sn, name, value)
+    for i in range(len(spec.layers)):
+        sn.versions[i] += 1
 
 
 class BiwsEvaluator:

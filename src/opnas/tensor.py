@@ -747,18 +747,16 @@ def backward(loss: Tensor) -> None:
 
 
 class Adam:
-    """Adam with bias correction over a fixed parameter list.
+    """Adam with bias correction over a fixed parameter list, with moment
+    decays 0.9 and 0.999 and a denominator offset of 1e-8.
 
     A parameter whose ``grad`` is None steps with a zero gradient: its
     moments still decay. Deterministic given its inputs.
     """
 
-    def __init__(self, params: Sequence[Parameter], lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, params: Sequence[Parameter], lr: float = 1e-3):
         self.params = list(params)
         self.lr = lr
-        self.betas = betas
-        self.eps = eps
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
         self.t = 0
@@ -769,7 +767,7 @@ class Adam:
 
     def step(self) -> None:
         """One update, in place on every ``Parameter.data``."""
-        b1, b2 = self.betas
+        b1, b2 = 0.9, 0.999
         self.t += 1
         c1, c2 = 1 - b1**self.t, 1 - b2**self.t
         for p, m, v in zip(self.params, self.m, self.v):
@@ -787,6 +785,6 @@ class Adam:
             step *= self.lr
             denom = v / c2
             np.sqrt(denom, out=denom)
-            denom += self.eps
+            denom += 1e-8
             step /= denom
             p.data -= step

@@ -289,7 +289,8 @@ BAD_VALUES = [("trainer", "lr", -1), ("trainer", "lr", 0), ("trainer", "warmup",
               ("trainer", "steps", 0), ("trainer", "batch_size", 0),
               ("corpus", "size", 1), ("corpus", "heldout_fraction", 1.0),
               ("trainer", "steps", "abc"), ("metrics", "seeds", 0),
-              ("corpus", "heldout_fraction", -0.5)]
+              ("corpus", "heldout_fraction", -0.5), ("model", "num_layers", 0),
+              ("search", "alpha", float("nan")), ("search", "alpha", float("inf"))]
 
 
 @pytest.mark.parametrize("section,key,value", BAD_VALUES,
@@ -306,6 +307,28 @@ def test_bad_config_value_is_exit_2(command, section, key, value, tmp_path, caps
     assert run(*argv, "--config", cfg, "--out-dir", out) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and key in err[0], err
+    assert not (out / "config.json").exists()
+
+
+NEGATIVE_SEEDS = [("flag", "search.seed"), ("search", "search.seed"),
+                  ("corpus", "corpus.seed")]
+
+
+@pytest.mark.parametrize("source,key", NEGATIVE_SEEDS, ids=[s for s, _ in NEGATIVE_SEEDS])
+@pytest.mark.parametrize("command", ["search", "eval", "metrics"])
+def test_negative_seed_is_exit_2(command, source, key, tmp_path, capsys):
+    cfg = json.loads(json.dumps(TINY_CFG))
+    flags = ("--seed", -1) if source == "flag" else ()
+    if source != "flag":
+        cfg.setdefault(source, {})["seed"] = -1
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "run"
+    cfg_path.write_text(json.dumps(cfg))
+    spec_path = tmp_path / "std.json"
+    spec_path.write_text(serialize(standard_backbone(2)))
+    argv = (command,) if command == "search" else (command, spec_path)
+    assert run(*argv, "--config", cfg_path, "--out-dir", out, *flags) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: bad configuration: {key} must be >= 0, got -1"]
     assert not (out / "config.json").exists()
 
 

@@ -249,6 +249,9 @@ def test_config_validation():
         SearchConfig(k=0)
     with pytest.raises(ValueError):
         SearchConfig(alpha=-0.1)
+    for alpha in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+            SearchConfig(alpha=alpha)
     with pytest.raises(ValueError):
         SearchConfig(jobs=0)
 

@@ -538,6 +538,8 @@ def test_untrained_accuracy_near_chance(tiny_config, tiny_corpus):
 def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(num_layers=2, d_model=30, n_heads=4)
+    with pytest.raises(ValueError, match="num_layers must be >= 1, got 0"):
+        ModelConfig(num_layers=0)
     with pytest.raises(ValueError):
         ModelConfig(num_layers=2, d_model=32, n_heads=2, vocab=8)
     cfg = ModelConfig(num_layers=2, d_model=32, n_heads=4)

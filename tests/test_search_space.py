@@ -1,5 +1,6 @@
 """Graph validation, generation, mutation, and serialization checks."""
 
+import hashlib
 import json
 import random
 
@@ -307,6 +308,53 @@ def test_inter_mutation_reaches_conv_and_back():
         spec = S.mutate_inter(spec, S.uniform_kernel_distribution, r)
         kinds.update(layer.kind for layer in spec.layers)
     assert kinds == {"attention", "conv"}
+
+
+def _skewed_op_distribution(position):
+    # most ops get no mass, and which ones do depends on the position, so
+    # some slots hold no op with mass and the draw falls back to uniform
+    heavy = S.ALL_OPS[position % len(S.ALL_OPS)]
+    return {heavy: 5.0, "matmul": 1.0, "transpose": 0.5, "cosine": 0.0}
+
+
+def _zero_op_distribution(position):
+    return {op: 0.0 for op in S.ALL_OPS}
+
+
+def _kernel_distribution_without_15(layer):
+    return {k: 0.0 if k == 15 else 1.0 / k for k in S.KERNEL_MENU}
+
+
+# sha256 of the serialized draws below; every draw is a pure function of its
+# seed, so a change to any generation or mutation rule shows here first
+DRAW_PIN = "cdcef04db67861a62e126bc5cc41976b2d5d24439dac9f54a19aecbcfb1f0762"
+
+
+def test_fixed_seed_draws_equal_the_pinned_digest():
+    digest = hashlib.sha256()
+
+    def pin(spec):
+        digest.update(S.serialize(spec).encode())
+
+    r = random.Random(11)
+    dags = [S.random_dag(r) for _ in range(300)]
+    for dag in dags:
+        pin(S.BackboneSpec((S.LayerSpec.attention(dag),)))
+    for seed, dist in enumerate((S.uniform_op_distribution, _skewed_op_distribution,
+                                 _zero_op_distribution)):
+        r = random.Random(100 + seed)
+        for start in (S.standard_attention_dag(), *dags[:3]):
+            dag = start
+            for _ in range(100):
+                dag = S.mutate_intra(dag, dist, r)
+                pin(S.BackboneSpec((S.LayerSpec.attention(dag),)))
+    r = random.Random(200)
+    spec = S.autobert_zero_backbone(6)
+    for _ in range(500):
+        spec = S.mutate_inter(spec, _kernel_distribution_without_15, r)
+        assert all(layer.kernel != 15 for layer in spec.layers)
+        pin(spec)
+    assert digest.hexdigest() == DRAW_PIN
 
 
 @settings(max_examples=30, deadline=None)

@@ -207,15 +207,55 @@ def test_init_candidate_views_match_store(sn, config):
     # layer 1 runs the softplus-key formula: q and k projections only
     assert "layer1.att.q" in params and "layer1.att.v" not in params
     assert np.array_equal(params["layer1.att.k"], sn.store["layer1.att.k"])
-    # conv layers with k < 65 carry the transform/slice pair
+    # conv layers with k < 65 carry the kernel's center rows under its name
     assert params["layer0.conv.kernel"].shape == (65, config.d_model)
-    small = [key for key in params if ".conv.slice" in key]
+    small = [key for key in params
+             if key.endswith(".conv.kernel") and len(params[key]) < 65]
     assert small, "expected sliced kernels for k < 65"
     for key in small:
         layer = int(key.split(".")[0].removeprefix("layer"))
         k = params[key].shape[0]
         want = sn.store[f"layer{layer}.conv.kernel"][center_slice(k)]
         assert np.array_equal(params[key], want)
+
+
+def test_init_candidate_names_are_store_keys():
+    # one conv layer per menu size, then one attention layer
+    config = ModelConfig(num_layers=len(KERNEL_MENU) + 1, d_model=8, n_heads=2,
+                         vocab=16, seq_len=8)
+    spec = BackboneSpec((*map(LayerSpec.conv, KERNEL_MENU),
+                         LayerSpec.attention(softplus_key_attention_dag())))
+    store = init_supernet(config, rng=0)
+    rng = np.random.default_rng(1)
+    for i in range(config.num_layers):
+        for k in TRANSFORM_SIZES:
+            store.store[f"layer{i}.conv.transform.{k}"] = rng.normal(size=(k, k))
+    params = init_candidate(store, spec)
+    assert set(params) <= set(store.store)
+    for i, k in enumerate(KERNEL_MENU):
+        kernel = store.store[f"layer{i}.conv.kernel"]
+        assert np.array_equal(params[f"layer{i}.conv.kernel"], kernel[center_slice(k)])
+        transform = f"layer{i}.conv.transform.{k}"
+        assert (transform in params) == (k != MAX_KERNEL)
+        if k != MAX_KERNEL:
+            assert np.array_equal(params[transform], store.store[transform])
+    # the model convolves with transform @ center rows, the extracted kernel
+    model = build_model(spec, config, params=params)
+    assert set(model.params) == set(params)
+    extracted = {name: value for name, value in params.items()
+                 if ".conv.transform." not in name}
+    for i, k in enumerate(KERNEL_MENU):
+        extracted[f"layer{i}.conv.kernel"] = extract_conv_kernel(store, i, k)
+    ids = np.arange(config.seq_len) % config.vocab
+    assert np.allclose(model.forward(ids).data,
+                       build_model(spec, config, params=extracted).forward(ids).data,
+                       rtol=0, atol=1e-12)
+    missing = {name: value for name, value in params.items()
+               if name != "layer2.conv.kernel"}
+    with pytest.raises(ValueError, match=r"missing parameter layer2\.conv\.kernel"):
+        build_model(spec, config, params=missing)
+    with pytest.raises(ValueError, match=r"layer1\.conv\.transform\.5: shape"):
+        build_model(spec, config, params={**params, "layer1.conv.transform.5": np.eye(3)})
 
 
 def test_init_candidate_rejects_depth_mismatch(sn):
