@@ -52,7 +52,7 @@ from opnas.evolution import (
 )
 from opnas.metrics import uniformity_report
 from opnas.model import (Corpus, ModelConfig, OptimConfig, TrainingDiverged,
-                         check_corpus_split, synth_corpus)
+                         check_corpus_split, check_number, synth_corpus)
 from opnas.search_space import (
     SpecParseError,
     autobert_zero_backbone,
@@ -77,7 +77,7 @@ ARCHS = {"autobert-zero": autobert_zero_backbone, "standard-attention": standard
 
 # each key-by-key section's keys in config.json order, with the CLI's defaults
 # (the trainer's apart from OptimConfig's; corpus.seed defaults to the search
-# seed); a given value is cast to its default's type
+# seed); a given value must be a number of its default's type
 SECTION_DEFAULTS = {
     "corpus": {"size": 512, "seed": 0, "heldout_fraction": 0.125},
     "trainer": {"steps": 100, "lr": 1e-3, "warmup": 60, "batch_size": 8},
@@ -144,11 +144,8 @@ def _run_dir(args) -> Path:
 
 
 def _cast(value, default, where: str):
-    try:
-        return type(default)(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{where} must be {type(default).__name__}, "
-                         f"got {value!r}") from None
+    check_number(value, type(default).__name__, where)
+    return type(default)(value)
 
 
 def _resolve(args) -> RunConfig:
@@ -168,14 +165,15 @@ def _resolve(args) -> RunConfig:
                      if getattr(args, flag, None) is not None}}
 
     try:
-        model = ModelConfig.from_json_dict(raw.get("model", {}))
+        model = ModelConfig(**raw.get("model", {}))
         # the backbone length has one source of truth: the model section
         num_layers = search_raw.setdefault("num_layers", model.num_layers)
         if num_layers != model.num_layers:
             raise ValueError(f"search.num_layers {num_layers!r} differs from "
                              f"model.num_layers {model.num_layers}")
-        search_raw.setdefault("k", min(SearchConfig.k, search_raw.get(
-            "population_size", SearchConfig.population_size)))
+        population = search_raw.get("population_size", SearchConfig.population_size)
+        check_number(population, "int", "search.population_size")  # before min() reads it
+        search_raw.setdefault("k", min(SearchConfig.k, population))
         search = SearchConfig(**search_raw)
         if search.seed < 0:  # seeds numpy generators, which take none below 0
             raise ValueError(f"search.seed must be >= 0, got {search.seed}")

@@ -52,10 +52,11 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
+from opnas.model import check_number
 from opnas.search_space import (
     ALL_OPS,
     KERNEL_MENU,
@@ -167,6 +168,8 @@ class SearchConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            check_number(getattr(self, f.name), f.type, f.name)
         if not self.population_size >= self.k >= 1:
             raise ValueError("need population_size >= k >= 1")
         if not 0 <= self.alpha < math.inf:
@@ -175,6 +178,10 @@ class SearchConfig:
             raise ValueError("children_per_parent >= 1 and max_iterations >= 0")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if self.patience < 0:
+            raise ValueError(f"patience must be >= 0, got {self.patience}")
+        if self.max_evaluations is not None and self.max_evaluations < 1:
+            raise ValueError(f"max_evaluations must be >= 1, got {self.max_evaluations}")
         if not 1 <= self.max_path_len <= MAX_PATH_LEN:  # what a spec may hold
             raise ValueError(f"max_path_len must be in 1..{MAX_PATH_LEN}")
 

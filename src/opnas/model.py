@@ -32,7 +32,8 @@ candidates, ``opnas eval`` and ``opnas metrics`` go through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 import numpy as np
@@ -41,7 +42,6 @@ from opnas.search_space import BackboneSpec, eval_dag, param_shapes
 from opnas.tensor import (
     Adam,
     NonFiniteError,
-    Parameter,
     Tensor,
     add,
     backward,
@@ -64,6 +64,7 @@ __all__ = [
     "MASK_ID",
     "CONTENT_LO",
     "BIGRAM_FOLLOW_P",
+    "check_number",
     "ModelConfig",
     "OptimConfig",
     "Corpus",
@@ -99,6 +100,22 @@ PROXY_CHUNK = 8
 
 INIT_STD = 0.02
 
+
+def check_number(value, kind: str, name: str) -> None:
+    """Refuse ``value`` unless it is a number of ``kind``, a field annotation.
+
+    An "int" takes an integral number (numpy integers too), a "float" any
+    real number, and neither a bool; a kind ending in " | None" also takes
+    None. Every config dataclass checks its fields with it, and the CLI its
+    key-by-key sections.
+    """
+    if value is None and kind.endswith(" | None"):
+        return
+    number = numbers.Integral if kind.startswith("int") else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, number):
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     num_layers: int = 12
@@ -109,6 +126,8 @@ class ModelConfig:
     ffn_ratio: int = 4
 
     def __post_init__(self):
+        for f in fields(self):
+            check_number(getattr(self, f.name), f.type, f.name)
         if self.num_layers < 1:
             raise ValueError(f"num_layers must be >= 1, got {self.num_layers}")
         if self.d_model % self.n_heads != 0:
@@ -122,10 +141,6 @@ class ModelConfig:
     def d_h(self) -> int:
         return self.d_model // self.n_heads
 
-    @classmethod
-    def from_json_dict(cls, d: Mapping) -> "ModelConfig":
-        return cls(**{k: int(v) for k, v in d.items()})
-
 
 @dataclass(frozen=True)
 class OptimConfig:
@@ -134,6 +149,8 @@ class OptimConfig:
     batch_size: int = 8
 
     def __post_init__(self):
+        for f in fields(self):
+            check_number(getattr(self, f.name), f.type, f.name)
         if not 0 < self.lr < float("inf"):
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if self.warmup < 0:
@@ -148,7 +165,6 @@ class Corpus:
     heldout: np.ndarray
     vocab: int
     seq_len: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -208,7 +224,7 @@ def synth_corpus(seed: int, size: int = 512, vocab: int = 64, seq_len: int = 32,
         seqs[s, pos_b] = opener + N_SENTINEL_PAIRS
     n_heldout = max(1, int(size * heldout_fraction))
     return Corpus(train=seqs[:-n_heldout], heldout=seqs[-n_heldout:],
-                  vocab=vocab, seq_len=seq_len, seed=seed)
+                  vocab=vocab, seq_len=seq_len)
 
 
 def _mask_positions(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -246,7 +262,7 @@ class Model:
         self.config = config
         self.params = params
 
-    def parameters(self) -> list[Parameter]:
+    def parameters(self) -> list[Tensor]:
         return list(self.params.values())
 
     def without_grad(self) -> "Model":
@@ -343,7 +359,7 @@ def build_model(spec: BackboneSpec, config: ModelConfig,
     if len(spec.layers) != config.num_layers:
         raise ValueError(f"spec has {len(spec.layers)} layers, config expects "
                          f"{config.num_layers}")
-    built: dict[str, Parameter] = {}
+    built: dict[str, Tensor] = {}
     if params is not None:
         needed = param_shapes(config, spec)
         for i, layer in enumerate(spec.layers):
@@ -356,12 +372,11 @@ def build_model(spec: BackboneSpec, config: ModelConfig,
             arr = np.asarray(params[name], dtype=np.float64)
             if arr.shape != shape:
                 raise ValueError(f"{name}: shape {arr.shape} != expected {shape}")
-            built[name] = Parameter(arr.copy(), name=name)
+            built[name] = Tensor(arr.copy(), requires_grad=True)
         return Model(spec, config, built)
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     for name, shape in param_shapes(config, spec).items():
-        built[name] = Parameter(init_param(name, shape, rng), name=name)
+        built[name] = Tensor(init_param(name, shape, rng), requires_grad=True)
     return Model(spec, config, built)
 
 
@@ -390,8 +405,7 @@ def mlm_pretrain(model: Model, corpus: Corpus, steps: int,
     if steps < 1:
         raise ValueError("steps must be >= 1")
     optim = optim or OptimConfig()
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     opt = Adam(model.parameters(), lr=optim.lr)
     opt.zero_grad()  # gradients the caller left would add into the first step
     losses: list[float] = []

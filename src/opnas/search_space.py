@@ -640,30 +640,24 @@ def _conv_kernel_schedule(m: int) -> tuple[int, ...]:
     return tuple(menu[i] for i in idx)
 
 
-def autobert_zero_backbone(num_layers: int = 12,
-                           mid_attention: AttentionDag | None = None) -> BackboneSpec:
+def autobert_zero_backbone(num_layers: int = 12) -> BackboneSpec:
     """Alternating conv / attention stack with depth-descending kernels.
 
     Convs sit at even depths with kernels shrinking from 65 toward 3 (the
     12-layer schedule is 65, 31, 15, 9, 5, 3). The first attention slot
-    holds the softplus-key dag and the final layer the key-value-mix dag;
-    attention layers in between default to a copy of the final dag and can
-    be overridden via ``mid_attention``.
+    holds the softplus-key dag and every later one the key-value-mix dag.
     """
     if num_layers < 2 or num_layers % 2 != 0:
         raise ValueError(f"layer count must be even and >= 2, got {num_layers}")
     kernels = _conv_kernel_schedule(num_layers // 2)
-    mid = mid_attention if mid_attention is not None else key_value_mix_attention_dag()
+    mix = key_value_mix_attention_dag()
     layers = []
     for i in range(num_layers):
         if i % 2 == 0:
             layers.append(LayerSpec.conv(kernels[i // 2]))
-        elif i == 1:
-            layers.append(LayerSpec.attention(softplus_key_attention_dag()))
-        elif i == num_layers - 1:
-            layers.append(LayerSpec.attention(key_value_mix_attention_dag()))
         else:
-            layers.append(LayerSpec.attention(mid))
+            dag = softplus_key_attention_dag() if i == 1 else mix
+            layers.append(LayerSpec.attention(dag))
     return BackboneSpec(tuple(layers))
 
 

@@ -146,15 +146,14 @@ class Supernet:
             if meta.get("version") != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported supernet checkpoint version "
                                  f"{meta.get('version')!r}")
-            config = ModelConfig.from_json_dict(meta["config"])
+            config = ModelConfig(**meta["config"])
             store = {key: data[key].copy() for key in meta["keys"]}
         return cls(config, store, list(meta["layer_versions"]), meta["rng_state"])
 
 
 def init_supernet(config: ModelConfig, rng: np.random.Generator | int = 0) -> Supernet:
     """Fresh supernet: ``init_param`` for every store key, in declared order."""
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     store = {key: init_param(key, shape, rng)
              for key, shape in param_shapes(config).items()}
     versions = [0] * config.num_layers

@@ -44,7 +44,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Tensor",
-    "Parameter",
     "ShapeError",
     "NonFiniteError",
     "UNARY_OP_KINDS",
@@ -99,8 +98,8 @@ class Tensor:
     (``None`` otherwise); the node refers to its parents' nodes, not to
     them, so the graph outlives no ``Tensor`` but the leaves and the loss,
     and a step's graph is freed with its loss. Tensors are treated as
-    immutable once created; optimizers mutate ``Parameter.data`` in place
-    between graph builds.
+    immutable once created, except that optimizers mutate a leaf's
+    ``data`` in place between graph builds.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_node")
@@ -125,19 +124,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-
-class Parameter(Tensor):
-    """A named trainable leaf. Names must be unique within one model."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, data, name: str):
-        super().__init__(data, requires_grad=True)
-        self.name = name
-
-    def __repr__(self) -> str:
-        return f"Parameter({self.name!r}, shape={self.shape})"
 
 
 class _Node:
@@ -754,7 +740,7 @@ class Adam:
     moments still decay. Deterministic given its inputs.
     """
 
-    def __init__(self, params: Sequence[Parameter], lr: float = 1e-3):
+    def __init__(self, params: Sequence[Tensor], lr: float = 1e-3):
         self.params = list(params)
         self.lr = lr
         self.m = [np.zeros_like(p.data) for p in self.params]
@@ -766,7 +752,7 @@ class Adam:
             p.grad = None
 
     def step(self) -> None:
-        """One update, in place on every ``Parameter.data``."""
+        """One update, in place on every parameter's ``data``."""
         b1, b2 = 0.9, 0.999
         self.t += 1
         c1, c2 = 1 - b1**self.t, 1 - b2**self.t

@@ -290,7 +290,16 @@ BAD_VALUES = [("trainer", "lr", -1), ("trainer", "lr", 0), ("trainer", "warmup",
               ("corpus", "size", 1), ("corpus", "heldout_fraction", 1.0),
               ("trainer", "steps", "abc"), ("metrics", "seeds", 0),
               ("corpus", "heldout_fraction", -0.5), ("model", "num_layers", 0),
-              ("search", "alpha", float("nan")), ("search", "alpha", float("inf"))]
+              ("search", "alpha", float("nan")), ("search", "alpha", float("inf")),
+              # integer keys take integers, never a float, a bool or a string
+              ("search", "k", 1.5), ("search", "k", True), ("search", "population_size", 4.0),
+              ("search", "jobs", 1.5), ("search", "patience", 0.5),
+              ("search", "max_iterations", "2"), ("trainer", "steps", 2.7),
+              ("trainer", "warmup", 1.9), ("corpus", "size", 40.5),
+              ("corpus", "seed", True), ("model", "num_layers", 2.9),
+              # search budgets out of range
+              ("search", "max_evaluations", 0), ("search", "max_evaluations", -3),
+              ("search", "patience", -1)]
 
 
 @pytest.mark.parametrize("section,key,value", BAD_VALUES,

@@ -254,6 +254,26 @@ def test_config_validation():
             SearchConfig(alpha=alpha)
     with pytest.raises(ValueError):
         SearchConfig(jobs=0)
+    for field, value, low in (("max_evaluations", 0, 1), ("max_evaluations", -3, 1),
+                              ("patience", -1, 0)):
+        with pytest.raises(ValueError, match=f"^{field} must be >= {low}, got {value}$"):
+            SearchConfig(**{field: value})
+    assert SearchConfig(max_evaluations=1, patience=0).max_evaluations == 1
+
+
+@pytest.mark.parametrize("field,value", [("k", 1.5), ("k", True), ("population_size", 4.0),
+                                         ("jobs", 1.5), ("patience", 0.5),
+                                         ("max_iterations", "2"), ("seed", True),
+                                         ("max_evaluations", 2.0), ("alpha", True),
+                                         ("alpha", "0.5")])
+def test_config_refuses_a_value_of_the_wrong_type(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be (int|float)"):
+        SearchConfig(**{field: value})
+
+
+def test_config_takes_numpy_integers_and_integral_alpha():
+    cfg = SearchConfig(population_size=np.int64(4), k=np.int32(2), alpha=1, seed=np.uint8(3))
+    assert (cfg.k, cfg.alpha, cfg.seed) == (2, 1, 3)
 
 
 @pytest.mark.parametrize("max_path_len", [0, 13])

@@ -121,7 +121,8 @@ def test_corpus_refuses_a_heldout_fraction_outside_0_1(fraction):
 
 @pytest.mark.parametrize("field,value", [("lr", 0.0), ("lr", -1e-3), ("lr", float("nan")),
                                          ("lr", float("inf")), ("warmup", -1),
-                                         ("batch_size", 0)])
+                                         ("batch_size", 0), ("lr", True), ("lr", "0.001"),
+                                         ("warmup", 1.9), ("batch_size", 4.0)])
 def test_optim_config_refuses_out_of_range_values(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be"):
         OptimConfig(**{field: value})
@@ -544,6 +545,19 @@ def test_config_validation():
         ModelConfig(num_layers=2, d_model=32, n_heads=2, vocab=8)
     cfg = ModelConfig(num_layers=2, d_model=32, n_heads=4)
     assert cfg.d_h == 8
+
+
+@pytest.mark.parametrize("field,value", [("num_layers", 2.9), ("d_model", 32.0),
+                                         ("vocab", True), ("seq_len", "16")])
+def test_model_config_refuses_a_non_integer(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be int, got {value!r}"):
+        ModelConfig(**{field: value})
+
+
+def test_configs_take_numpy_numbers():
+    assert ModelConfig(num_layers=np.int64(2), d_model=32, n_heads=np.int32(4)).d_h == 8
+    assert OptimConfig(lr=np.float32(0.5), warmup=np.int64(0), batch_size=2).lr == 0.5
+    assert OptimConfig(lr=1).lr == 1
 
 
 def test_conv_only_backbone_trains(tiny_config, tiny_corpus):

@@ -454,9 +454,15 @@ def test_golden_files_match_builders():
 
 
 def test_autobert_alternates_conv_attention():
-    spec = S.autobert_zero_backbone(12)
-    for i, layer in enumerate(spec.layers):
-        assert layer.kind == ("conv" if i % 2 == 0 else "attention")
+    for num_layers in (2, 4, 12):
+        spec = S.autobert_zero_backbone(num_layers)
+        assert len(spec.layers) == num_layers
+        for i, layer in enumerate(spec.layers):
+            assert layer.kind == ("conv" if i % 2 == 0 else "attention")
+            if i == 1:
+                assert layer.dag == S.softplus_key_attention_dag()
+            elif i % 2 == 1:
+                assert layer.dag == S.key_value_mix_attention_dag()
 
 
 def test_autobert_kernel_schedule_decreases():

@@ -627,7 +627,7 @@ def test_scalar_tensor_has_empty_shape():
 
 
 def test_adam_moves_against_gradient():
-    p = T.Parameter(np.array([[1.0, -2.0]]), name="p")
+    p = T.Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
     opt = T.Adam([p], lr=0.1)
     opt.zero_grad()
     T.backward(T.tensor_sum(p))
@@ -638,7 +638,7 @@ def test_adam_moves_against_gradient():
 
 
 def test_adam_none_grad_is_noop():
-    p = T.Parameter(np.array([[1.0, 2.0]]), name="p")
+    p = T.Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
     opt = T.Adam([p], lr=0.5)
     opt.zero_grad()
     before = p.data.copy()
@@ -651,7 +651,7 @@ def test_adam_matches_functional_form():
     data = rng.normal(size=(3, 2))
     grad = rng.normal(size=(3, 2))
 
-    p = T.Parameter(data.copy(), name="p")
+    p = T.Tensor(data.copy(), requires_grad=True)
     p.grad = grad.copy()
     opt = T.Adam([p], lr=0.01)
     opt.step()
@@ -672,7 +672,7 @@ def test_adam_equals_allocating_update_bit_for_bit():
     # params[1] has no gradient at steps 1 and 3: a zero gradient, so its
     # moments decay
     grads[1][1] = grads[1][3] = None
-    params = [T.Parameter(a.copy(), name=f"p{i}") for i, a in enumerate(start)]
+    params = [T.Tensor(a.copy(), requires_grad=True) for a in start]
     opt = T.Adam(params, lr=0.01)
     for step in range(4):
         opt.zero_grad()
