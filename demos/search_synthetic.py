@@ -21,7 +21,7 @@ GOOD_OPS = ("add", "softsign")
 THRESHOLD = 0.9
 
 
-def fitness(spec):
+def fitness(spec, candidate_id):
     """Mean over layers of the fraction of good ops; conv layers score 0."""
     per_layer = []
     for layer in spec.layers:

@@ -30,8 +30,8 @@ uninterrupted run (timing is injectable; wall_ms is the only
 nondeterministic field under a real clock). Rows past the checkpoint's
 iteration, a torn last line among them, were never committed and are dropped.
 
-Evaluator contract: a callable taking (spec) or (spec, candidate_id) and
-returning a float in [0, 1] or an EvalResult. Exceptions and scores outside
+Evaluator contract: the loop calls ``evaluator(spec, candidate_id)``, which
+returns a float in [0, 1] or an EvalResult. Exceptions and scores outside
 [0, 1] (NaN included) discard the candidate with a logged reason and the
 loop continues. An evaluator may also expose
 ``on_iteration_end(iteration, best)``, called once per completed iteration
@@ -44,7 +44,6 @@ better candidate returns, so the loop keeps at most one payload per batch.
 
 from __future__ import annotations
 
-import inspect
 import json
 import logging
 import math
@@ -217,11 +216,6 @@ class UcbStats:
         self.totals: dict[int, int] = {}
         self.kernel_counts: dict[int, dict[int, int]] = {}
 
-    @property
-    def n_max(self) -> int:
-        """Length of the longest attention path recorded so far."""
-        return max(self.totals, default=-1) + 1
-
 
 def record_result(stats: UcbStats, candidate: Candidate, score: float) -> UcbStats:
     """Fold one evaluated candidate into the statistics (in place)."""
@@ -281,35 +275,14 @@ def kernel_distribution(stats: UcbStats, layer: int) -> dict[int, float]:
 # evaluator plumbing
 
 
-def _takes_candidate_id(evaluator) -> bool:
-    # opt-in by parameter name: a defaulted second arg like rng=None must
-    # not silently receive the id
-    try:
-        sig = inspect.signature(evaluator)
-    except (TypeError, ValueError):
-        return False
-    params = [p for p in sig.parameters.values()
-              if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
-    if len(params) < 2:
-        return False
-    return params[1].default is inspect.Parameter.empty \
-        or params[1].name == "candidate_id"
-
-
-def _call_evaluator(evaluator, takes_id: bool, spec: BackboneSpec,
-                    candidate_id: int) -> EvalResult:
-    out = evaluator(spec, candidate_id) if takes_id else evaluator(spec)
-    result = out if isinstance(out, EvalResult) else EvalResult(score=float(out))
-    if not 0.0 <= result.score <= 1.0:  # NaN fails this too
-        raise ValueError(f"score must be in [0, 1], got {result.score}")
-    return result
-
-
-def _timed_eval(evaluator, takes_id, spec, candidate_id, clock=time.perf_counter):
+def _timed_eval(evaluator, spec, candidate_id, clock=time.perf_counter):
     """(EvalResult or error text, wall_ms); also the pool worker's entry point."""
     t0 = clock()
     try:
-        result = _call_evaluator(evaluator, takes_id, spec, candidate_id)
+        out = evaluator(spec, candidate_id)
+        result = out if isinstance(out, EvalResult) else EvalResult(score=float(out))
+        if not 0.0 <= result.score <= 1.0:  # NaN fails this too
+            raise ValueError(f"score must be in [0, 1], got {result.score}")
     except Exception as e:  # reported for the discard log, never raised
         return f"{type(e).__name__}: {e}", 0.0
     return result, (clock() - t0) * 1000.0
@@ -495,7 +468,7 @@ class _Sink:
             state.advance(it, cands)
 
 
-def _evaluate_batch(candidates, evaluator, takes_id, jobs, clock):
+def _evaluate_batch(candidates, evaluator, jobs, clock):
     """Score a batch; returns ([(scored candidate, wall_ms)] in id order, best).
 
     ``best`` is (candidate, payload) of the batch's best scored candidate,
@@ -513,10 +486,10 @@ def _evaluate_batch(candidates, evaluator, takes_id, jobs, clock):
     if jobs <= 1 or len(candidates) <= 1:
         for cand in candidates:
             best = _fold(scored, best, cand,
-                         *_timed_eval(evaluator, takes_id, cand.spec, cand.id, clock))
+                         *_timed_eval(evaluator, cand.spec, cand.id, clock))
         return scored, best
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_timed_eval, evaluator, takes_id, c.spec, c.id)
+        futures = [pool.submit(_timed_eval, evaluator, c.spec, c.id)
                    for c in candidates]
         for cand in candidates:
             best = _fold(scored, best, cand, *_read(futures.pop(0), clock))
@@ -617,7 +590,6 @@ def _run(config: SearchConfig, evaluator, propose, out_dir, resume: bool,
          clock) -> list[EvalRecord]:
     """The one search loop; a strategy is its ``propose(state)`` rule."""
     clock = clock or time.perf_counter
-    takes_id = _takes_candidate_id(evaluator)
     state = _RunState(config)
     sink = _Sink(out_dir)
     if resume:
@@ -625,7 +597,7 @@ def _run(config: SearchConfig, evaluator, propose, out_dir, resume: bool,
     else:
         sink.start_afresh()
     while batch := propose(state):
-        scored, best = _evaluate_batch(batch, evaluator, takes_id, config.jobs, clock)
+        scored, best = _evaluate_batch(batch, evaluator, config.jobs, clock)
         if not scored and _failed_streak(state) + 1 >= FAILED_BATCH_LIMIT:
             first, last = state.iteration + 2 - FAILED_BATCH_LIMIT, state.iteration + 1
             raise EvaluationFailed(f"every candidate of {FAILED_BATCH_LIMIT} batches in "

@@ -433,15 +433,15 @@ def mlm_pretrain(model: Model, corpus: Corpus, steps: int,
     return model, losses
 
 
-def _eval_mask(seq: np.ndarray, mask_seed: int) -> np.ndarray:
+def _eval_mask(seq: np.ndarray) -> np.ndarray:
     """The fixed evaluation mask of one sequence, seeded by its content."""
-    return _mask_positions(len(seq), np.random.default_rng([mask_seed, *seq]))
+    return _mask_positions(len(seq), np.random.default_rng([0, *seq]))
 
 
-def proxy_evaluate(model: Model, heldout: np.ndarray, mask_seed: int = 0) -> ProxyScore:
+def proxy_evaluate(model: Model, heldout: np.ndarray) -> ProxyScore:
     """Masked-token accuracy under a fixed evaluation mask.
 
-    Each sequence's mask is seeded by (mask_seed, its token content), so
+    Each sequence's mask is seeded by (0, its token content), so
     the score is independent of batch order and identical across calls.
     The forward runs without a graph over chunks of ``PROXY_CHUNK``
     sequences, under the same ``np.errstate`` as a training step, so
@@ -450,7 +450,7 @@ def proxy_evaluate(model: Model, heldout: np.ndarray, mask_seed: int = 0) -> Pro
     heldout = np.asarray(heldout)
     if len(heldout) == 0:
         raise ValueError("heldout split is empty")
-    masks = np.stack([_eval_mask(seq, mask_seed) for seq in heldout])
+    masks = np.stack([_eval_mask(seq) for seq in heldout])
     corrupted = np.where(masks, MASK_ID, heldout)
     scorer = model.without_grad()
     correct = 0

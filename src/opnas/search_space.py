@@ -87,6 +87,10 @@ MAX_PATH_LEN = 12
 # edits mutate_intra tries before it returns the parent unchanged
 MUTATE_RETRIES = 50
 
+# dags random_dag draws before it gives up; far beyond what the per-attempt
+# acceptance rate needs, so exhaustion means a bug
+DAG_ATTEMPTS = 200
+
 # symbolic shapes: pairs over {"n", "dh"}. Every input is (n, dh), and every
 # shape rule maps pairs to pairs
 SHAPE_ND = ("n", "dh")
@@ -368,16 +372,15 @@ def _sample(choices: Sequence, dist: Mapping, rng: random.Random):
     return rng.choices(choices, weights=weights, k=1)[0]
 
 
-def random_dag(rng: random.Random, max_len: int = MAX_PATH_LEN,
-               attempts: int = 200) -> AttentionDag:
+def random_dag(rng: random.Random, max_len: int = MAX_PATH_LEN) -> AttentionDag:
     """Rejection-sample a dag that passes validate().
 
     Each attempt draws the input subset, a length, then per node a uniform
     op with uniformly chosen legal args; the attempt is thrown away if the
-    output shape or input-usage check fails. The budget is far beyond what
-    the per-attempt acceptance rate needs, so exhaustion means a bug.
+    output shape or input-usage check fails. After ``DAG_ATTEMPTS``
+    attempts it raises ``GenerationExhausted``.
     """
-    for _ in range(attempts):
+    for _ in range(DAG_ATTEMPTS):
         inputs = ["q", "k"]
         if rng.random() < 0.5:
             inputs.append("v")
@@ -401,7 +404,7 @@ def random_dag(rng: random.Random, max_len: int = MAX_PATH_LEN,
         dag = AttentionDag(tuple(inputs), tuple(nodes))
         if validate(dag, max_len)[0]:
             return dag
-    raise GenerationExhausted(f"no valid dag in {attempts} attempts")
+    raise GenerationExhausted(f"no valid dag in {DAG_ATTEMPTS} attempts")
 
 
 def _node_shapes_env(dag: AttentionDag) -> dict[Ref, Shape]:

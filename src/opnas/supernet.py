@@ -36,7 +36,8 @@ norms) live in the same store and follow the same best-child-writes-back rule.
 
 Checkpoint format: one .npz container holding every weight array under its
 store key, plus a ``__meta__`` JSON string with {version, config,
-layer_versions, rng_state, keys in declared order}.
+layer_versions, rng_state, keys in declared order}; ``Supernet.load``
+refuses any other content with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Mapping
 
@@ -141,14 +142,29 @@ class Supernet:
 
     @classmethod
     def load(cls, path: str | Path) -> "Supernet":
+        """Read what ``save`` wrote; ValueError when the file holds anything else."""
         with np.load(path) as data:
             meta = json.loads(str(data["__meta__"]))
             if meta.get("version") != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported supernet checkpoint version "
                                  f"{meta.get('version')!r}")
-            config = ModelConfig(**meta["config"])
-            store = {key: data[key].copy() for key in meta["keys"]}
-        return cls(config, store, list(meta["layer_versions"]), meta["rng_state"])
+            stored, names = meta["config"], {f.name for f in fields(ModelConfig)}
+            if not isinstance(stored, dict) or set(stored) != names:
+                raise ValueError(f"config {stored!r} does not hold the keys {sorted(names)}")
+            config = ModelConfig(**stored)
+            shapes = param_shapes(config)
+            if meta["keys"] != list(shapes):
+                raise ValueError("keys are not the store layout of its config")
+            store = {key: data[key].copy() for key in shapes}
+        for key, shape in shapes.items():
+            if store[key].shape != shape:
+                raise ValueError(f"{key} has shape {store[key].shape}, expected {shape}")
+        versions = meta["layer_versions"]
+        if not (isinstance(versions, list) and len(versions) == config.num_layers
+                and all(type(v) is int and v >= 0 for v in versions)):
+            raise ValueError(f"layer_versions must be {config.num_layers} ints >= 0, "
+                             f"got {versions!r}")
+        return cls(config, store, versions, meta["rng_state"])
 
 
 def init_supernet(config: ModelConfig, rng: np.random.Generator | int = 0) -> Supernet:

@@ -353,7 +353,7 @@ FITNESS_THRESHOLD = 0.9
 EVAL_BUDGET = 300
 
 
-def good_op_fitness(spec):
+def good_op_fitness(spec, candidate_id):
     """Mean over layers of the fraction of good ops; conv layers score 0."""
     per_layer = []
     for layer in spec.layers:

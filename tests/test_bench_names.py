@@ -4,23 +4,31 @@
 (``opnas.model.matmul``, the entries of the op tables, ``Supernet.save`` ...).
 The root test run does not collect ``perfbench/``, so a name deleted or
 renamed in ``src/`` would break only the traced benchmark; here the tracer is
-installed on the package and undone, which takes milliseconds.
+installed on the package and undone, which takes milliseconds. The search
+workloads' calls into the package (``clock=``, ``BiwsEvaluator(save_path=)``,
+the two-argument evaluator wrapper) run once each at tiny size.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = ("tensor", "search_space", "evolution", "model", "supernet", "metrics")
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("opnas_bench_spans", SPANS)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"opnas_bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
     return module
 
 
@@ -33,7 +41,7 @@ def _bindings(modules) -> list[dict]:
 
 
 def test_tracer_installs_on_the_package_and_undoes():
-    spans = _load_spans()
+    spans = _load("spans")
     modules = {m: importlib.import_module(f"opnas.{m}") for m in MODULES}
     T, S = modules["tensor"], modules["search_space"]
     before = _bindings(modules)
@@ -52,3 +60,18 @@ def test_tracer_installs_on_the_package_and_undoes():
     table = tracer.table()
     assert table.of("tensor.softmax").sum() == 1
     assert table.of("tensor.matmul").sum() == 2
+
+
+@pytest.mark.parametrize("workload", ["SearchSynthetic", "SearchBiws"])
+def test_search_workload_unit_passes_its_checks(workload, tmp_path, monkeypatch):
+    bench = _load("workloads")
+    modules = {m: importlib.import_module(f"opnas.{m}") for m in MODULES}
+    losses = bench.LossLog(modules["model"].TrainingDiverged)
+    for owner in (modules["model"], modules["supernet"]):
+        monkeypatch.setattr(owner, "mlm_pretrain", losses.wrap(owner.mlm_pretrain))
+    w = getattr(bench, workload)(modules, seed=0, tiny=True, work=tmp_path)
+    w.setup()
+    units = [w.unit(keep=True)]
+    units.append(w.reference(units))  # a second unit, so repeats are checked
+    checks = w.checks(units, losses)
+    assert checks and all(ok for _, ok, _ in checks), checks

@@ -176,6 +176,37 @@ def test_cut_short_supernet_is_exit_3(command, keep, tiny_cfg, tmp_path, capsys)
     assert ckpt.read_bytes() == cut
 
 
+# how each file differs from what Supernet.save writes
+MALFORMED_SUPERNETS = {
+    "unknown-config-key": lambda meta, store: meta["config"].update(extra=1),
+    "missing-config-key": lambda meta, store: meta["config"].pop("ffn_ratio"),
+    "wrong-shape": lambda meta, store: store.update({"layer0.ffn.w1": np.zeros((16, 8))}),
+    "short-layer-versions": lambda meta, store: meta.update(layer_versions=[0]),
+}
+
+
+@pytest.mark.parametrize("command", ["search", "eval"])
+@pytest.mark.parametrize("damage", MALFORMED_SUPERNETS)
+def test_malformed_supernet_is_exit_3(damage, command, tiny_cfg, tmp_path, capsys):
+    cfg = json.loads(Path(tiny_cfg).read_text())
+    ckpt = tmp_path / "sn.npz"
+    init_supernet(ModelConfig(**cfg["model"]), 0).save(ckpt)
+    with np.load(ckpt) as data:
+        store = {key: data[key] for key in data.files}
+    meta = json.loads(str(store.pop("__meta__")))
+    MALFORMED_SUPERNETS[damage](meta, store)
+    with open(ckpt, "wb") as fh:
+        np.savez(fh, __meta__=np.array(json.dumps(meta)), **store)
+    spec_path = tmp_path / "std.json"
+    spec_path.write_text(serialize(standard_backbone(2)))
+    argv = ("eval", spec_path) if command == "eval" else ("search",)
+    out = tmp_path / "o"
+    assert run(*argv, "--config", tiny_cfg, "--out-dir", out, "--biws", ckpt) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bad supernet checkpoint: "), err
+    assert not (out / "history.jsonl").exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_search_jobs_below_1_is_exit_2(jobs, tiny_cfg, tmp_path):
     out = tmp_path / "run"

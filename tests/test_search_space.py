@@ -253,10 +253,10 @@ def test_random_dag_deterministic():
     assert a == b
 
 
-def test_generation_exhausted_raises():
-    r = random.Random(0)
+def test_generation_exhausted_raises(monkeypatch):
+    monkeypatch.setattr(S, "DAG_ATTEMPTS", 0)
     with pytest.raises(S.GenerationExhausted):
-        S.random_dag(r, attempts=0)
+        S.random_dag(random.Random(0))
 
 
 # ---------------------------------------------------------------------------
