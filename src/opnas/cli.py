@@ -319,15 +319,15 @@ def cmd_export_arch(args) -> int:
 
 def cmd_metrics(args) -> int:
     cfg = _resolve(args)
+    # every spec parses before anything is written or trained
+    specs = [(Path(path).stem, _load_spec(path)) for path in args.specs]
     cfg.write()
     corpus = cfg.build_corpus()
     rows = []
-    for path in args.specs:
-        spec = _load_spec(path)
+    for tag, spec in specs:
         spec_config = dataclasses.replace(cfg.model, num_layers=len(spec.layers))
         evaluator = BiwsEvaluator(spec_config, corpus, steps=cfg.trainer["steps"],
                                   optim=cfg.optim, seed=cfg.search.seed)
-        tag = Path(path).stem
         for s in range(cfg.metrics["seeds"]):
             try:
                 model = evaluator.train(spec, s)

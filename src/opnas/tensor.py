@@ -32,10 +32,19 @@ Dropping the loss frees the whole graph, and so does walking it:
 once it has run, so a graph can be walked once. Over leaves that require
 no grad (plain ``Tensor``s) nothing is recorded, so a forward-only pass
 frees each intermediate once the next op has used it.
+
+Freed arrays stay in the process heap. On import, this module raises
+glibc's mmap threshold to 32 MiB and its trim threshold to 64 MiB, so a
+step's freed graph or a proxy chunk's activations are reused by the next
+step or chunk instead of being unmapped and faulted back in page by page.
+Where that applies, resident memory stays at the run's peak instead of
+falling between steps. Elsewhere (no ``mallopt``) the allocator's defaults
+stay. Where arrays live changes; what is computed does not.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from typing import Callable, Sequence
 
@@ -75,6 +84,27 @@ __all__ = [
 ]
 
 LAYER_NORM_EPS = 1e-5
+
+# glibc mallopt parameters; 32 MiB is the ceiling of glibc's own adaptive
+# mmap threshold on 64-bit hosts, and glibc adapts the trim threshold to
+# twice the mmap threshold
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20
+
+
+def _retain_freed_memory() -> None:
+    """Make glibc keep freed arrays in the heap; a silent no-op elsewhere."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    # mallopt returns 0 for a value it refuses; then leave the trim default
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD):
+        mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
+
+
+_retain_freed_memory()
 
 
 class ShapeError(ValueError):

@@ -661,6 +661,25 @@ def test_metrics_bad_spec_is_exit_4(tiny_cfg, tmp_path):
                "--out-dir", tmp_path / "m") == 4
 
 
+@pytest.mark.parametrize("names", [("good.json", "missing.json"), ("missing.json",)])
+def test_metrics_with_a_bad_spec_writes_and_trains_nothing(names, tiny_cfg, tmp_path,
+                                                           monkeypatch):
+    (tmp_path / "good.json").write_text(serialize(standard_backbone(2)))
+    trained = []
+    train = BiwsEvaluator.train
+
+    def counting_train(self, spec, seed):
+        trained.append(seed)
+        return train(self, spec, seed)
+
+    monkeypatch.setattr(BiwsEvaluator, "train", counting_train)
+    out = tmp_path / "m"
+    assert run("metrics", *(tmp_path / n for n in names), "--config", tiny_cfg,
+               "--out-dir", out) == 4
+    assert trained == []
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # plot-data
 

@@ -1,5 +1,7 @@
 """Synthetic corpus, masking, training loop, and encoder checks."""
 
+import ctypes
+import resource
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -298,6 +300,26 @@ def test_training_peak_memory_does_not_grow_with_steps():
     one, three = peak(1), peak(3)
     # a step's graph must be freed before the next step builds its own
     assert three <= 1.1 * one, (one, three)
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"),
+                    reason="the C library has no mallopt")
+def test_a_repeated_training_run_and_proxy_pass_fault_no_memory_back_in():
+    config = ModelConfig(num_layers=2, d_model=64, n_heads=4, seq_len=32)
+    corpus = synth_corpus(seed=0, size=128, vocab=config.vocab, seq_len=config.seq_len)
+
+    def unit():
+        model = build_model(standard_backbone(config.num_layers), config, rng=0)
+        mlm_pretrain(model, corpus, 3, OptimConfig(batch_size=8, warmup=0), rng=0)
+        proxy_evaluate(model, corpus.heldout)
+
+    unit()  # grows the heap to the unit's peak
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    unit()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    # freed step graphs and proxy chunks stay in the heap for the next ones;
+    # returned to the OS, they fault back in by the thousand
+    assert faults < 64, faults
 
 
 def test_backward_peak_above_the_forward_stays_below_half_the_parameters():

@@ -682,3 +682,42 @@ def test_adam_equals_allocating_update_bit_for_bit():
     for p, a, gs in zip(params, start, grads):
         full = [np.zeros_like(a) if g is None else g for g in gs]
         assert np.array_equal(p.data, oracles.adam(a, full, lr=0.01))
+
+
+# ---------------------------------------------------------------------------
+# heap retention
+
+
+class _Libc:
+    def __init__(self, accepts):
+        self.accepts = accepts
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return int(self.accepts)
+
+
+def test_heap_retention_sets_the_mmap_then_the_trim_threshold(monkeypatch):
+    libc = _Libc(accepts=True)
+    monkeypatch.setattr(T.ctypes, "CDLL", lambda name: libc)
+    T._retain_freed_memory()
+    assert libc.calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [lambda name: object(), _no_libc],
+                         ids=["no-mallopt", "no-libc"])
+def test_heap_retention_is_a_silent_no_op_without_mallopt(cdll, monkeypatch):
+    monkeypatch.setattr(T.ctypes, "CDLL", cdll)
+    T._retain_freed_memory()
+
+
+def test_heap_retention_leaves_the_trim_default_when_mallopt_refuses(monkeypatch):
+    libc = _Libc(accepts=False)
+    monkeypatch.setattr(T.ctypes, "CDLL", lambda name: libc)
+    T._retain_freed_memory()
+    assert libc.calls == [(-3, 32 << 20)]
