@@ -8,10 +8,9 @@ consistent with the shared 65-row store.
 import numpy as np
 
 from opnas.model import ModelConfig
-from opnas.search_space import KERNEL_MENU, autobert_zero_backbone
+from opnas.search_space import KERNEL_MENU, BackboneSpec, LayerSpec, autobert_zero_backbone
 from opnas.supernet import (
     center_slice,
-    extract_conv_kernel,
     init_candidate,
     init_supernet,
     write_back,
@@ -30,28 +29,31 @@ def main():
         print(f"  k={k:>2}: rows [{sl.start}, {sl.stop})")
 
     # ------------------------------------------------------------------
-    # extraction multiplies the slice by a per-size k x k transform;
-    # write-back inverts it so a trained kernel lands back in the store
+    # a k-tap layer convolves with T @ S: its k x k transform T times the
+    # store's k center rows S; write-back solves T^-1 (T S) back into them
     rng = np.random.default_rng(1)
     k = 9
     sl = center_slice(k)
-    flanks_before = np.delete(sn.store["layer0.conv.kernel"], np.r_[sl], axis=0)
-    before = extract_conv_kernel(sn, layer=0, k=k)
-    trained = before + 0.05 * rng.normal(size=before.shape)
-    transform = np.eye(k) + 0.2 * rng.normal(size=(k, k))
-    write_back(sn, 0, {"kernel": trained, "transform": transform}, "conv")
-    after = extract_conv_kernel(sn, 0, k)
-    print(f"\nk={k} round trip: |extract - trained| max "
-          f"{np.abs(after - trained).max():.2e}")
+    spec = BackboneSpec((LayerSpec.conv(k),) * config.num_layers)
+    kernel, transform = "layer0.conv.kernel", f"layer0.conv.transform.{k}"
+    flanks_before = np.delete(sn.store[kernel], np.r_[sl], axis=0)
+    before = init_candidate(sn, spec)
+    trained = {kernel: before[kernel] + 0.05 * rng.normal(size=before[kernel].shape),
+               transform: np.eye(k) + 0.2 * rng.normal(size=(k, k))}
+    write_back(sn, trained)
+    after = init_candidate(sn, spec)
+    print(f"\nk={k} round trip: |extracted T @ S - trained T @ S| max "
+          f"{np.abs(after[transform] @ after[kernel] - trained[transform] @ trained[kernel]).max():.2e}")
     print(f"layer versions after one write-back: {sn.versions}")
 
     # only the k centered rows moved; the flanks belong to larger sizes
-    flanks_after = np.delete(sn.store["layer0.conv.kernel"], np.r_[sl], axis=0)
+    flanks_after = np.delete(sn.store[kernel], np.r_[sl], axis=0)
     print(f"store rows outside [{sl.start}, {sl.stop}) unchanged: "
           f"{bool((flanks_before == flanks_after).all())}")
 
     # ------------------------------------------------------------------
-    # a candidate pulls its whole parameter set out of the supernet
+    # a candidate pulls its whole parameter set out of the supernet, as
+    # read-only views that build_model copies once
     spec = autobert_zero_backbone(4)
     params = init_candidate(sn, spec)
     kinds = [layer.kind for layer in spec.layers]

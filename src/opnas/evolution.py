@@ -44,6 +44,7 @@ better candidate returns, so the loop keeps at most one payload per batch.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import logging
 import math
@@ -54,6 +55,8 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
+
+import numpy as np
 
 from opnas.model import check_number
 from opnas.search_space import (
@@ -476,11 +479,12 @@ def _evaluate_batch(candidates, evaluator, jobs, clock):
     taken in id order and only the running best's payload is kept, so a
     payload (a candidate's trained weights, say) is dropped as soon as a
     better candidate returns. Failures are logged and dropped. With
-    jobs > 1 the evaluator runs in a process pool, so it must be picklable
-    and deterministic given (spec, candidate_id); each future is released
-    once read, since it holds the payload. A worker that dies breaks the
-    pool: every candidate not finished by then is logged and dropped too,
-    and the next batch gets a new pool.
+    jobs > 1 the evaluator runs in a process pool of one-BLAS-thread
+    workers, so it must be picklable and deterministic given
+    (spec, candidate_id); each future is released once read, since it
+    holds the payload. A worker that dies breaks the pool: every candidate
+    not finished by then is logged and dropped too, and the next batch
+    gets a new pool.
     """
     scored, best = [], None
     if jobs <= 1 or len(candidates) <= 1:
@@ -488,12 +492,29 @@ def _evaluate_batch(candidates, evaluator, jobs, clock):
             best = _fold(scored, best, cand,
                          *_timed_eval(evaluator, cand.spec, cand.id, clock))
         return scored, best
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_one_blas_thread) as pool:
         futures = [pool.submit(_timed_eval, evaluator, c.spec, c.id)
                    for c in candidates]
         for cand in candidates:
             best = _fold(scored, best, cand, *_read(futures.pop(0), clock))
     return scored, best
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: one BLAS thread in this worker.
+
+    The workers already fill the cores, so their own BLAS threads would
+    only contend for them. Sets numpy's bundled OpenBLAS through ctypes; a
+    silent no-op where that library or its symbol is missing. Only workers
+    run it, so the parent keeps its setting.
+    """
+    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
+        try:
+            set_threads = ctypes.CDLL(str(lib)).scipy_openblas_set_num_threads64_
+        except (AttributeError, OSError):
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
 
 
 def _read(future, clock) -> tuple:

@@ -27,17 +27,20 @@ weight source is either a supernet (extraction in, write-back after each
 iteration) or a ``ModelConfig`` (fresh weights, nothing kept); either
 way one generator keyed by (seed, candidate id) drives the candidate.
 
-Write-back stores every trained array under its own name and keeps the
-stored 65-kernel the single source of truth: the candidate trains the
-transform T and the short kernel S jointly (its effective kernel is
-T @ S), and write-back stores T and solves T^-1 (T S) = S back into the
-center rows. Parameters the search never varies (embeddings, FFNs, layer
-norms) live in the same store and follow the same best-child-writes-back rule.
+``write_back`` is the one write-back rule. It stores every trained array
+under its own name and keeps the stored 65-kernel the single source of
+truth: the candidate trains the transform T and the short kernel S jointly
+(its effective kernel is T @ S), and write-back stores T and solves
+T^-1 (T S) = S back into the center rows. Parameters the search never
+varies (embeddings, FFNs, layer norms) live in the same store and follow
+the same best-child-writes-back rule. It checks the whole candidate before
+it writes anything, so a refused candidate leaves the store as it was.
 
 Checkpoint format: one .npz container holding every weight array under its
 store key, plus a ``__meta__`` JSON string with {version, config,
-layer_versions, rng_state, keys in declared order}; ``Supernet.load``
-refuses any other content with ``ValueError``.
+layer_versions, keys in declared order}; ``Supernet.load`` refuses any
+other content with ``ValueError``, and ignores the ``rng_state`` entry of
+version-1 files written before it was dropped.
 """
 
 from __future__ import annotations
@@ -65,7 +68,6 @@ from opnas.model import (
 from opnas.search_space import (
     KERNEL_MENU,
     MAX_KERNEL,
-    TRANSFORM_SIZES,
     BackboneSpec,
     param_shapes,
 )
@@ -75,9 +77,8 @@ __all__ = [
     "Supernet",
     "init_supernet",
     "center_slice",
-    "extract_conv_kernel",
-    "write_back",
     "init_candidate",
+    "write_back",
     "BiwsEvaluator",
 ]
 
@@ -115,11 +116,10 @@ class Supernet:
     """
 
     def __init__(self, config: ModelConfig, store: dict[str, np.ndarray],
-                 versions: list[int], rng_state: dict | None = None):
+                 versions: list[int]):
         self.config = config
         self.store = store
         self.versions = versions
-        self.rng_state = rng_state or {}
 
     def keys(self) -> list[str]:
         return list(param_shapes(self.config))
@@ -131,7 +131,6 @@ class Supernet:
             "version": CHECKPOINT_VERSION,
             "config": asdict(self.config),
             "layer_versions": list(self.versions),
-            "rng_state": self.rng_state,
             "keys": self.keys(),
         }
         # through a handle: given a name, np.savez appends ".npz" to any other suffix
@@ -164,7 +163,7 @@ class Supernet:
                 and all(type(v) is int and v >= 0 for v in versions)):
             raise ValueError(f"layer_versions must be {config.num_layers} ints >= 0, "
                              f"got {versions!r}")
-        return cls(config, store, versions, meta["rng_state"])
+        return cls(config, store, versions)
 
 
 def init_supernet(config: ModelConfig, rng: np.random.Generator | int = 0) -> Supernet:
@@ -172,90 +171,16 @@ def init_supernet(config: ModelConfig, rng: np.random.Generator | int = 0) -> Su
     rng = np.random.default_rng(rng)
     store = {key: init_param(key, shape, rng)
              for key, shape in param_shapes(config).items()}
-    versions = [0] * config.num_layers
-    return Supernet(config, store, versions, rng.bit_generator.state)
+    return Supernet(config, store, [0] * config.num_layers)
 
 
 # ---------------------------------------------------------------------------
-# extraction
-
-
-def extract_conv_kernel(sn: Supernet, layer: int, k: int) -> np.ndarray:
-    """Center slice of the stored 65-kernel through the k x k transform."""
-    if k not in KERNEL_MENU:
-        raise ValueError(f"kernel {k} not in menu {KERNEL_MENU}")
-    kernel = sn.store[f"layer{layer}.conv.kernel"]
-    if k == MAX_KERNEL:
-        return kernel.copy()
-    transform = sn.store[f"layer{layer}.conv.transform.{k}"]
-    return transform @ kernel[center_slice(k)]
-
-
-# ---------------------------------------------------------------------------
-# write-back
-
-
-def write_back(sn: Supernet, layer: int, weights: Mapping[str, np.ndarray],
-               kind: str) -> Supernet:
-    """Store one layer's trained weights; bumps the layer version.
-
-    attention: ``weights`` holds any of q/k/v/p (H x d x d_h) plus wo.
-    conv: ``weights`` holds proj, the effective kernel (k x d), and for
-    k < 65 the trained transform (k x k). The transform is stored first,
-    then the center slice is recovered as transform^-1 @ kernel; a
-    near-singular transform falls back to the pseudo-inverse with a
-    logged warning.
-    """
-    if kind == "attention":
-        for name, value in weights.items():
-            key = f"layer{layer}.att.{name}"
-            _checked_assign(sn, key, value)
-    elif kind == "conv":
-        if "proj" in weights:
-            _checked_assign(sn, f"layer{layer}.conv.proj", weights["proj"])
-        kernel = np.asarray(weights["kernel"], dtype=np.float64)
-        k = kernel.shape[0]
-        if k == MAX_KERNEL:
-            _checked_assign(sn, f"layer{layer}.conv.kernel", kernel)
-        elif k not in TRANSFORM_SIZES:
-            raise ValueError(f"kernel size {k} not in menu {KERNEL_MENU}")
-        else:
-            _write_back_kernel(sn, f"layer{layer}.conv", weights["transform"], kernel)
-    else:
-        raise ValueError(f"unknown layer kind {kind!r}")
-    sn.versions[layer] += 1
-    return sn
-
-
-def _write_back_kernel(sn: Supernet, stem: str, transform, kernel: np.ndarray) -> None:
-    """Store ``transform`` as ``{stem}.transform.{k}`` and solve it out of
-    ``kernel``, the k-tap effective kernel, into the 65-kernel's center rows."""
-    k = kernel.shape[0]
-    transform = np.asarray(transform, dtype=np.float64)
-    _checked_assign(sn, f"{stem}.transform.{k}", transform)
-    if np.linalg.cond(transform) > COND_LIMIT:
-        log.warning("%s kernel %d transform ill-conditioned; using pseudo-inverse",
-                    stem, k)
-        rows = np.linalg.pinv(transform) @ kernel
-    else:
-        rows = np.linalg.solve(transform, kernel)
-    sn.store[f"{stem}.kernel"][center_slice(k)] = rows
-
-
-def _checked_assign(sn: Supernet, key: str, value) -> None:
-    value = np.asarray(value, dtype=np.float64)
-    want = sn.store[key].shape
-    if value.shape != want:
-        raise ValueError(f"{key}: shape {value.shape} != stored {want}")
-    sn.store[key] = value.copy()
-
-
-# ---------------------------------------------------------------------------
-# candidate initialization
+# candidate initialization and write-back
 
 
 def init_candidate(sn: Supernet, spec: BackboneSpec) -> dict[str, np.ndarray]:
-    """Model parameter set for ``spec``: copies of store arrays under their keys.
+    """Model parameter set for ``spec``: read-only views of store arrays under
+    their keys, so ``build_model`` makes the model's one copy.
 
     A conv layer with k < 65 gets the stored kernel's k center rows and the
     store's k x k transform, whose product is the effective kernel, so the
@@ -268,27 +193,58 @@ def init_candidate(sn: Supernet, spec: BackboneSpec) -> dict[str, np.ndarray]:
     for name, shape in param_shapes(sn.config, spec).items():
         k = shape[0]
         if name.endswith(".conv.kernel") and k != MAX_KERNEL:
-            params[name] = sn.store[name][center_slice(k)].copy()
+            params[name] = sn.store[name][center_slice(k)]
             transform = name.replace(".kernel", f".transform.{k}")
-            params[transform] = sn.store[transform].copy()
+            params[transform] = sn.store[transform].view()
         else:
-            params[name] = sn.store[name].copy()
+            params[name] = sn.store[name].view()
+    for view in params.values():
+        view.flags.writeable = False
     return params
 
 
-def _write_back_candidate(sn: Supernet, spec: BackboneSpec,
-                          trained: Mapping[str, np.ndarray]) -> None:
-    """Fold one trained candidate into the supernet, each array under its own
-    name (a short kernel with its transform); bumps every layer's version."""
+def write_back(sn: Supernet, trained: Mapping[str, np.ndarray]) -> None:
+    """Fold one trained candidate into the supernet; bumps every layer's version.
+
+    Each array is stored under its own name. A k-tap kernel S (k < 65) comes
+    with its transform T: T is stored and T^-1 (T S) is solved into the
+    65-kernel's k center rows; a near-singular T falls back to the
+    pseudo-inverse with a logged warning. ``trained`` is checked whole
+    first: a name that is not a store key, a kernel length off the menu, a
+    short kernel without its transform or a shape other than the store's
+    is a ValueError, and the store and versions stay as they were.
+    """
+    arrays: dict[str, np.ndarray] = {}
+    rows: dict[str, slice] = {}
     for name, value in trained.items():
-        k = len(value)
-        if name.endswith(".conv.kernel") and k != MAX_KERNEL:
-            stem = name.removesuffix(".kernel")
-            transform = trained[f"{stem}.transform.{k}"]
-            _write_back_kernel(sn, stem, transform, transform @ value)
-        elif ".conv.transform." not in name:  # written with its kernel
-            _checked_assign(sn, name, value)
-    for i in range(len(spec.layers)):
+        if name not in sn.store:
+            raise ValueError(f"{name} is not a supernet key")
+        arrays[name] = value = np.asarray(value, dtype=np.float64)
+        want = sn.store[name].shape
+        if name.endswith(".conv.kernel") and value.ndim == 2 and len(value) != MAX_KERNEL:
+            k = len(value)
+            if k not in KERNEL_MENU:
+                raise ValueError(f"{name}: kernel {k} not in menu {KERNEL_MENU}")
+            if name.replace(".kernel", f".transform.{k}") not in trained:
+                raise ValueError(f"{name}: a {k}-tap kernel needs its transform")
+            rows[name], want = center_slice(k), (k, want[1])
+        if value.shape != want:
+            raise ValueError(f"{name}: shape {value.shape} != stored {want}")
+    for name, sl in rows.items():
+        transform = arrays[name.replace(".kernel", f".transform.{sl.stop - sl.start}")]
+        kernel = transform @ arrays[name]
+        if np.linalg.cond(transform) > COND_LIMIT:
+            log.warning("%s: %d-tap transform ill-conditioned; using pseudo-inverse",
+                        name, len(transform))
+            arrays[name] = np.linalg.pinv(transform) @ kernel
+        else:
+            arrays[name] = np.linalg.solve(transform, kernel)
+    for name, value in arrays.items():
+        if name in rows:
+            sn.store[name][rows[name]] = value
+        else:
+            sn.store[name] = value.copy()
+    for i in range(len(sn.versions)):
         sn.versions[i] += 1
 
 
@@ -346,7 +302,7 @@ class BiwsEvaluator:
         """Write back ``best``, the iteration's [(candidate, payload)] or []."""
         if self.supernet is None or not best:
             return
-        [(cand, trained)] = best
-        _write_back_candidate(self.supernet, cand.spec, trained)
+        [(_, trained)] = best
+        write_back(self.supernet, trained)
         if self.save_path is not None:
             self.supernet.save(self.save_path)

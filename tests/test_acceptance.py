@@ -35,7 +35,6 @@ from opnas.model import ModelConfig, build_model, mlm_pretrain, synth_corpus
 from opnas.supernet import (
     BiwsEvaluator,
     center_slice,
-    extract_conv_kernel,
     init_candidate,
     init_supernet,
     write_back,
@@ -465,17 +464,21 @@ def test_08_conv_round_trip(gate):
 
     config = ModelConfig(num_layers=1, d_model=16, n_heads=2, vocab=32, seq_len=16)
     r = np.random.default_rng(8)
+
+    def effective(params, k):
+        kernel = params["layer0.conv.kernel"]
+        return kernel if k == 65 else params[f"layer0.conv.transform.{k}"] @ kernel
+
     worst = 0.0
     for k in S.KERNEL_MENU:
         sn = init_supernet(config, r)
-        new_kernel = r.normal(size=(k, config.d_model))
-        weights = {"kernel": new_kernel}
+        trained = {"layer0.conv.kernel": r.normal(size=(k, config.d_model))}
         if k < 65:
             # well-conditioned but far from identity
-            weights["transform"] = np.eye(k) + 0.3 * r.normal(size=(k, k))
-        write_back(sn, 0, weights, "conv")
-        back = extract_conv_kernel(sn, 0, k)
-        worst = max(worst, float(np.abs(back - new_kernel).max()))
+            trained[f"layer0.conv.transform.{k}"] = np.eye(k) + 0.3 * r.normal(size=(k, k))
+        write_back(sn, trained)
+        back = init_candidate(sn, S.BackboneSpec((S.LayerSpec.conv(k),)))
+        worst = max(worst, float(np.abs(effective(back, k) - effective(trained, k)).max()))
 
     ok = slices_ok and worst < 1e-7
     gate("conv round-trip", ok,

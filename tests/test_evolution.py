@@ -1,5 +1,6 @@
 """Selection arithmetic, history bookkeeping, and loop behavior."""
 
+import ctypes
 import json
 import logging
 import math
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from opnas import evolution
 from opnas import search_space as S
 from opnas.evolution import (
     Candidate,
@@ -553,6 +555,49 @@ def test_parallel_jobs_match_serial(tmp_path):
             assert (serial / name).read_bytes() == (par / name).read_bytes(), \
                 (algo.__name__, name)
         assert [r.id for r in a] == [r.id for r in b], algo.__name__
+
+
+def _openblas(symbol):
+    """``symbol`` of numpy's bundled OpenBLAS, or None where it is missing."""
+    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"):
+        fn = getattr(ctypes.CDLL(str(lib)), symbol, None)
+        if fn is not None:
+            return fn
+    return None
+
+
+def blas_thread_fitness(spec, candidate_id):
+    # module level so a process pool can pickle it; 1.0 means one thread
+    return 1.0 / _openblas("scipy_openblas_get_num_threads64_")()
+
+
+@pytest.mark.skipif(_openblas("scipy_openblas_set_num_threads64_") is None,
+                    reason="numpy's bundled OpenBLAS 64 not found")
+def test_pool_workers_run_one_blas_thread():
+    get = _openblas("scipy_openblas_get_num_threads64_")
+    set_threads = _openblas("scipy_openblas_set_num_threads64_")
+    before = get()
+    set_threads(2)  # what a worker would inherit on a 2-core host
+    try:
+        records = search(tiny_search_config(max_iterations=1, jobs=2),
+                         blas_thread_fitness, clock=ZERO_CLOCK)
+        parent = get()
+    finally:
+        set_threads(before)
+    assert records and all(r.score == 1.0 for r in records)
+    assert parent == 2
+
+
+def test_blas_thread_initializer_is_silent_without_openblas(monkeypatch):
+    def no_library(path):
+        raise OSError(path)
+
+    class NoSymbol:
+        pass
+
+    for cdll in (no_library, lambda path: NoSymbol()):
+        monkeypatch.setattr(evolution.ctypes, "CDLL", cdll)
+        evolution._one_blas_thread()
 
 
 # ---------------------------------------------------------------------------

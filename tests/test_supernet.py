@@ -1,5 +1,6 @@
 """Shared-weight store: slicing, transforms, write-back, evaluator."""
 
+import json
 import logging
 from pathlib import Path
 
@@ -26,7 +27,6 @@ from opnas.supernet import (
     BiwsEvaluator,
     Supernet,
     center_slice,
-    extract_conv_kernel,
     init_candidate,
     init_supernet,
     write_back,
@@ -100,49 +100,55 @@ def test_versions_start_at_zero(sn, config):
 # extraction and write-back
 
 
-def test_extract_full_kernel_is_store_copy(sn):
-    k = extract_conv_kernel(sn, 0, MAX_KERNEL)
-    assert np.array_equal(k, sn.store["layer0.conv.kernel"])
-    k[0, 0] += 1.0
-    assert k[0, 0] != sn.store["layer0.conv.kernel"][0, 0]
+def conv_backbone(k: int, num_layers: int = 4) -> BackboneSpec:
+    return BackboneSpec((LayerSpec.conv(k),) * num_layers)
+
+
+def effective_kernel(sn, layer: int, k: int) -> np.ndarray:
+    """The kernel a k-tap conv layer convolves with: transform @ center rows."""
+    params = init_candidate(sn, conv_backbone(k, sn.config.num_layers))
+    kernel = params[f"layer{layer}.conv.kernel"]
+    return kernel if k == MAX_KERNEL else params[f"layer{layer}.conv.transform.{k}"] @ kernel
+
+
+def short_kernel(sn, layer: int, k: int) -> dict[str, np.ndarray]:
+    """Layer ``layer``'s extracted k-tap kernel and transform, as writable copies."""
+    params = init_candidate(sn, conv_backbone(k, sn.config.num_layers))
+    stem = f"layer{layer}.conv"
+    return {name: params[name].copy() for name in (f"{stem}.kernel", f"{stem}.transform.{k}")}
 
 
 def test_extract_with_identity_transform_is_center_slice(sn):
     for k in TRANSFORM_SIZES:
-        got = extract_conv_kernel(sn, 1, k)
+        got = effective_kernel(sn, 1, k)
         want = sn.store["layer1.conv.kernel"][center_slice(k)]
         assert np.array_equal(got, want)
 
 
-def test_extract_rejects_off_menu(sn):
-    with pytest.raises(ValueError):
-        extract_conv_kernel(sn, 0, 11)
-
-
 def test_conv_round_trip_identity_transform(sn):
     k = 9
-    eff = extract_conv_kernel(sn, 0, k)
-    eff2 = eff + 0.25
-    write_back(sn, 0, {"kernel": eff2, "transform": np.eye(k)}, kind="conv")
-    back = extract_conv_kernel(sn, 0, k)
-    assert np.abs(back - eff2).max() < 1e-7
+    trained = short_kernel(sn, 0, k)
+    trained["layer0.conv.kernel"] += 0.25
+    write_back(sn, trained)
+    assert np.abs(effective_kernel(sn, 0, k) - trained["layer0.conv.kernel"]).max() < 1e-7
 
 
 @pytest.mark.parametrize("k", TRANSFORM_SIZES)
 def test_conv_round_trip_random_transform(sn, k, rng):
-    eff = extract_conv_kernel(sn, 2, k)
+    trained = short_kernel(sn, 2, k)
     transform = np.eye(k) + 0.2 * rng.normal(size=(k, k))
-    new_eff = transform @ (eff + 0.1 * rng.normal(size=eff.shape))
-    write_back(sn, 2, {"kernel": new_eff, "transform": transform}, kind="conv")
-    back = extract_conv_kernel(sn, 2, k)
-    assert np.abs(back - new_eff).max() < 1e-7
+    kernel = trained["layer2.conv.kernel"] + 0.1 * rng.normal(size=(k, sn.config.d_model))
+    trained.update({"layer2.conv.kernel": kernel, f"layer2.conv.transform.{k}": transform})
+    write_back(sn, trained)
+    assert np.abs(effective_kernel(sn, 2, k) - transform @ kernel).max() < 1e-7
 
 
 def test_write_back_preserves_flanks(sn):
     before = sn.store["layer0.conv.kernel"].copy()
     k = 7
-    write_back(sn, 0, {"kernel": extract_conv_kernel(sn, 0, k) + 1.0,
-                       "transform": np.eye(k)}, kind="conv")
+    trained = short_kernel(sn, 0, k)
+    trained["layer0.conv.kernel"] += 1.0
+    write_back(sn, trained)
     after = sn.store["layer0.conv.kernel"]
     s = center_slice(k)
     assert np.array_equal(after[: s.start], before[: s.start])
@@ -154,9 +160,10 @@ def test_singular_transform_falls_back_to_pinv(sn, caplog):
     k = 3
     transform = np.zeros((k, k))
     transform[0, 0] = 1.0  # rank 1, cond = inf
-    eff = np.ones((k, sn.config.d_model))
+    trained = {"layer3.conv.kernel": np.ones((k, sn.config.d_model)),
+               "layer3.conv.transform.3": transform}
     with caplog.at_level(logging.WARNING):
-        write_back(sn, 3, {"kernel": eff, "transform": transform}, kind="conv")
+        write_back(sn, trained)
     assert any("pseudo-inverse" in rec.message for rec in caplog.records)
     assert np.isfinite(sn.store["layer3.conv.kernel"]).all()
 
@@ -168,32 +175,57 @@ def test_attention_round_trip(sn, config, rng):
     layers = list(standard_backbone(config.num_layers).layers)
     layers[1] = LayerSpec.attention(every_input)
     spec = BackboneSpec(tuple(layers))
-    w = {key.removeprefix("layer1.att."): value
-         for key, value in init_candidate(sn, spec).items() if key.startswith("layer1.att.")}
-    assert set(w) == {"q", "k", "v", "p", "wo"}
-    w["v"] = w["v"] + rng.normal(size=w["v"].shape)
-    write_back(sn, 1, w, kind="attention")
+    w = {key: value for key, value in init_candidate(sn, spec).items()
+         if key.startswith("layer1.att.")}
+    assert set(w) == {f"layer1.att.{name}" for name in ("q", "k", "v", "p", "wo")}
+    w["layer1.att.v"] = w["layer1.att.v"] + rng.normal(size=w["layer1.att.v"].shape)
+    write_back(sn, w)
     back = init_candidate(sn, spec)
     for name in w:
-        assert np.abs(back[f"layer1.att.{name}"] - w[name]).max() < 1e-7
+        assert np.abs(back[name] - w[name]).max() < 1e-7
 
 
 def test_write_back_bumps_version_strictly(sn):
-    seen = [sn.versions[0]]
+    seen = [list(sn.versions)]
     for _ in range(3):
-        write_back(sn, 0, {"kernel": extract_conv_kernel(sn, 0, 65)}, kind="conv")
-        seen.append(sn.versions[0])
-    assert seen == [0, 1, 2, 3]
-    assert sn.versions[1:] == [0, 0, 0]
+        write_back(sn, {"layer0.conv.kernel": sn.store["layer0.conv.kernel"]})
+        seen.append(list(sn.versions))
+    # one candidate spans every layer, so every layer's version moves
+    assert seen == [[v] * 4 for v in (0, 1, 2, 3)]
 
 
 def test_write_back_rejects_bad_shapes(sn):
+    d = sn.config.d_model
+    for trained in ({"layer0.conv.kernel": np.ones((4, 4))},
+                    {"layer0.conv.kernel": np.ones((MAX_KERNEL, d + 1))},
+                    {"layer0.att.q": np.ones((3, 3))},
+                    {"layer0.conv.kernel": np.ones((5, d)),
+                     "layer0.conv.transform.5": np.eye(3)}):
+        with pytest.raises(ValueError):
+            write_back(sn, trained)
+
+
+MALFORMED = {
+    "unknown name": {"layer0.conv.slice.5": np.ones((5, 32))},
+    "kernel off the menu": {"layer0.conv.kernel": np.ones((4, 32))},
+    "kernel without its transform": {"layer0.conv.kernel": np.ones((5, 32))},
+    "short kernel of the wrong width": {"layer0.conv.kernel": np.ones((5, 31)),
+                                        "layer0.conv.transform.5": np.eye(5)},
+    "transform of the wrong shape": {"layer0.conv.kernel": np.ones((5, 32)),
+                                     "layer0.conv.transform.5": np.eye(3)},
+    "stored shape": {"layer1.att.wo": np.ones((32, 31))},
+}
+
+
+@pytest.mark.parametrize("bad", MALFORMED, ids=list(MALFORMED))
+def test_write_back_refuses_malformed_before_writing(sn, bad):
+    # a valid array comes first, so a write-as-you-go rule would store it
+    trained = {"tok_emb": sn.store["tok_emb"] + 1.0, **MALFORMED[bad]}
+    before = {key: value.copy() for key, value in sn.store.items()}
     with pytest.raises(ValueError):
-        write_back(sn, 0, {"kernel": np.ones((4, 4))}, kind="conv")
-    with pytest.raises(ValueError):
-        write_back(sn, 0, {"q": np.ones((3, 3))}, kind="attention")
-    with pytest.raises(ValueError):
-        write_back(sn, 0, {}, kind="dense")
+        write_back(sn, trained)
+    assert sn.versions == [0] * sn.config.num_layers
+    assert all(np.array_equal(sn.store[key], value) for key, value in before.items())
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +235,15 @@ def test_write_back_rejects_bad_shapes(sn):
 def test_init_candidate_views_match_store(sn, config):
     spec = autobert_zero_backbone(config.num_layers)
     params = init_candidate(sn, spec)
+    # read-only views: build_model makes the one copy, and nothing writes
+    # through a view into the store
+    for key, value in params.items():
+        assert np.shares_memory(value, sn.store[key]), key
+        assert not value.flags.writeable, key
+    with pytest.raises(ValueError):
+        params["tok_emb"][0, 0] = 1.0
+    with pytest.raises(ValueError):
+        params["layer0.conv.kernel"] += 1.0
     assert np.array_equal(params["tok_emb"], sn.store["tok_emb"])
     # layer 1 runs the softplus-key formula: q and k projections only
     assert "layer1.att.q" in params and "layer1.att.v" not in params
@@ -244,8 +285,9 @@ def test_init_candidate_names_are_store_keys():
     assert set(model.params) == set(params)
     extracted = {name: value for name, value in params.items()
                  if ".conv.transform." not in name}
-    for i, k in enumerate(KERNEL_MENU):
-        extracted[f"layer{i}.conv.kernel"] = extract_conv_kernel(store, i, k)
+    for i, k in enumerate(TRANSFORM_SIZES):
+        extracted[f"layer{i}.conv.kernel"] = (params[f"layer{i}.conv.transform.{k}"]
+                                             @ params[f"layer{i}.conv.kernel"])
     ids = np.arange(config.seq_len) % config.vocab
     assert np.allclose(model.forward(ids).data,
                        build_model(spec, config, params=extracted).forward(ids).data,
@@ -403,7 +445,7 @@ def test_biws_resumed_run_equals_uninterrupted(serial_biws_run, tmp_path):
 
 def test_save_load_round_trip(config, tmp_path):
     sn = init_supernet(config, rng=4)
-    write_back(sn, 2, {"kernel": extract_conv_kernel(sn, 2, 65) + 0.5}, kind="conv")
+    write_back(sn, {"layer2.conv.kernel": sn.store["layer2.conv.kernel"] + 0.5})
     path = tmp_path / "supernet.npz"
     sn.save(path)
     loaded = Supernet.load(path)
@@ -412,7 +454,9 @@ def test_save_load_round_trip(config, tmp_path):
     assert loaded.keys() == sn.keys()
     for key in sn.keys():
         assert np.array_equal(loaded.store[key], sn.store[key])
-    assert loaded.rng_state == sn.rng_state
+    with np.load(path) as data:
+        meta = json.loads(str(data["__meta__"]))
+    assert set(meta) == {"version", "config", "layer_versions", "keys"}
 
 
 def test_save_writes_exactly_the_given_path(config, tmp_path):
@@ -443,7 +487,9 @@ def test_per_head_era_checkpoint_equals_fresh_store():
     for key in new.keys():
         assert np.array_equal(old.store[key], new.store[key]), key
     assert old.versions == new.versions
-    assert old.rng_state == new.rng_state
+    # written when the file still held the generator state, which load ignores
+    with np.load(DATA / "supernet_v1.npz") as data:
+        assert "rng_state" in json.loads(str(data["__meta__"]))
 
 
 def test_supernet_initialized_first_loss_equals_per_head_model():
