@@ -30,7 +30,8 @@ def main():
 
     # ------------------------------------------------------------------
     # a k-tap layer convolves with T @ S: its k x k transform T times the
-    # store's k center rows S; write-back solves T^-1 (T S) back into them
+    # store's k center rows S; write-back stores S in those rows and T
+    # under its key, so extraction hands back the trained pair
     rng = np.random.default_rng(1)
     k = 9
     sl = center_slice(k)

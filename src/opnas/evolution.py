@@ -279,7 +279,7 @@ def kernel_distribution(stats: UcbStats, layer: int) -> dict[int, float]:
 
 
 def _timed_eval(evaluator, spec, candidate_id, clock=time.perf_counter):
-    """(EvalResult or error text, wall_ms); also the pool worker's entry point."""
+    """(EvalResult or error text, wall_ms) of one evaluator call."""
     t0 = clock()
     try:
         out = evaluator(spec, candidate_id)
@@ -481,8 +481,11 @@ def _evaluate_batch(candidates, evaluator, jobs, clock):
     better candidate returns. Failures are logged and dropped. With
     jobs > 1 the evaluator runs in a process pool of one-BLAS-thread
     workers, so it must be picklable and deterministic given
-    (spec, candidate_id); each future is released once read, since it
-    holds the payload. A worker that dies breaks the pool: every candidate
+    (spec, candidate_id). Each worker gets the evaluator once, when it
+    starts, and a submit carries only (spec, candidate_id); the pool lives
+    for one batch, so its workers see the evaluator as the last iteration
+    left it. Each future is released once read, since it holds the
+    payload. A worker that dies breaks the pool: every candidate
     not finished by then is logged and dropped too, and the next batch
     gets a new pool.
     """
@@ -492,16 +495,32 @@ def _evaluate_batch(candidates, evaluator, jobs, clock):
             best = _fold(scored, best, cand,
                          *_timed_eval(evaluator, cand.spec, cand.id, clock))
         return scored, best
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_one_blas_thread) as pool:
-        futures = [pool.submit(_timed_eval, evaluator, c.spec, c.id)
-                   for c in candidates]
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker,
+                             initargs=(evaluator,)) as pool:
+        futures = [pool.submit(_worker_eval, c.spec, c.id) for c in candidates]
         for cand in candidates:
             best = _fold(scored, best, cand, *_read(futures.pop(0), clock))
     return scored, best
 
 
+# a pool worker's evaluator, set once by ``_start_worker``
+_worker_evaluator = None
+
+
+def _start_worker(evaluator) -> None:
+    """Pool initializer: one BLAS thread, and the evaluator every submit runs."""
+    global _worker_evaluator
+    _one_blas_thread()
+    _worker_evaluator = evaluator
+
+
+def _worker_eval(spec: BackboneSpec, candidate_id: int) -> tuple:
+    """A pool worker's ``_timed_eval`` of the evaluator it started with."""
+    return _timed_eval(_worker_evaluator, spec, candidate_id)
+
+
 def _one_blas_thread() -> None:
-    """Pool initializer: one BLAS thread in this worker.
+    """One BLAS thread in this pool worker.
 
     The workers already fill the cores, so their own BLAS threads would
     only contend for them. Sets numpy's bundled OpenBLAS through ctypes; a

@@ -28,13 +28,14 @@ iteration) or a ``ModelConfig`` (fresh weights, nothing kept); either
 way one generator keyed by (seed, candidate id) drives the candidate.
 
 ``write_back`` is the one write-back rule. It stores every trained array
-under its own name and keeps the stored 65-kernel the single source of
-truth: the candidate trains the transform T and the short kernel S jointly
-(its effective kernel is T @ S), and write-back stores T and solves
-T^-1 (T S) = S back into the center rows. Parameters the search never
-varies (embeddings, FFNs, layer norms) live in the same store and follow
-the same best-child-writes-back rule. It checks the whole candidate before
-it writes anything, so a refused candidate leaves the store as it was.
+under its own name: the candidate trains the short kernel S and the
+transform T jointly (its effective kernel is T @ S), and write-back stores
+S into the 65-kernel's center rows and T under its key, so the next
+extraction hands back exactly the pair that was trained. Parameters the
+search never varies (embeddings, FFNs, layer norms) live in the same store
+and follow the same best-child-writes-back rule. It checks the whole
+candidate before it writes anything, so a refused candidate leaves the
+store as it was.
 
 Checkpoint format: one .npz container holding every weight array under its
 store key, plus a ``__meta__`` JSON string with {version, config,
@@ -46,7 +47,6 @@ version-1 files written before it was dropped.
 from __future__ import annotations
 
 import json
-import logging
 import os
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -82,11 +82,7 @@ __all__ = [
     "BiwsEvaluator",
 ]
 
-log = logging.getLogger(__name__)
-
 CENTER_INDEX = (MAX_KERNEL - 1) // 2
-
-COND_LIMIT = 1e8
 
 CHECKPOINT_VERSION = 1
 
@@ -184,7 +180,7 @@ def init_candidate(sn: Supernet, spec: BackboneSpec) -> dict[str, np.ndarray]:
 
     A conv layer with k < 65 gets the stored kernel's k center rows and the
     store's k x k transform, whose product is the effective kernel, so the
-    transform keeps training with the candidate and write-back can invert it.
+    transform keeps training with the candidate and is written back with it.
     """
     if len(spec.layers) != sn.config.num_layers:
         raise ValueError(f"spec has {len(spec.layers)} layers, supernet expects "
@@ -206,13 +202,13 @@ def init_candidate(sn: Supernet, spec: BackboneSpec) -> dict[str, np.ndarray]:
 def write_back(sn: Supernet, trained: Mapping[str, np.ndarray]) -> None:
     """Fold one trained candidate into the supernet; bumps every layer's version.
 
-    Each array is stored under its own name. A k-tap kernel S (k < 65) comes
-    with its transform T: T is stored and T^-1 (T S) is solved into the
-    65-kernel's k center rows; a near-singular T falls back to the
-    pseudo-inverse with a logged warning. ``trained`` is checked whole
-    first: a name that is not a store key, a kernel length off the menu, a
-    short kernel without its transform or a shape other than the store's
-    is a ValueError, and the store and versions stay as they were.
+    Each array is stored under its own name; a k-tap kernel (k < 65) goes
+    into the 65-kernel's k center rows and must come with its transform, so
+    the stored pair is the pair the candidate trained. ``trained`` is
+    checked whole first: a name that is not a store key, a kernel length
+    off the menu, a short kernel without its transform or a shape other
+    than the store's is a ValueError, and the store and versions stay as
+    they were.
     """
     arrays: dict[str, np.ndarray] = {}
     rows: dict[str, slice] = {}
@@ -230,15 +226,6 @@ def write_back(sn: Supernet, trained: Mapping[str, np.ndarray]) -> None:
             rows[name], want = center_slice(k), (k, want[1])
         if value.shape != want:
             raise ValueError(f"{name}: shape {value.shape} != stored {want}")
-    for name, sl in rows.items():
-        transform = arrays[name.replace(".kernel", f".transform.{sl.stop - sl.start}")]
-        kernel = transform @ arrays[name]
-        if np.linalg.cond(transform) > COND_LIMIT:
-            log.warning("%s: %d-tap transform ill-conditioned; using pseudo-inverse",
-                        name, len(transform))
-            arrays[name] = np.linalg.pinv(transform) @ kernel
-        else:
-            arrays[name] = np.linalg.solve(transform, kernel)
     for name, value in arrays.items():
         if name in rows:
             sn.store[name][rows[name]] = value

@@ -2,11 +2,12 @@
 
 ``perfbench/spans.py`` wraps functions at the names the calling modules bind
 (``opnas.model.matmul``, the entries of the op tables, ``Supernet.save`` ...).
-The root test run does not collect ``perfbench/``, so a name deleted or
-renamed in ``src/`` would break only the traced benchmark; here the tracer is
-installed on the package and undone, which takes milliseconds. The search
-workloads' calls into the package (``clock=``, ``BiwsEvaluator(save_path=)``,
-the two-argument evaluator wrapper) run once each at tiny size.
+The root test run also collects ``perfbench/``, whose smoke test runs every
+workload traced through a subprocess; here the tracer is installed on the
+package in process and undone, which takes milliseconds, so a name deleted
+or renamed in ``src/`` fails with that name. The search workloads' calls
+into the package (``clock=``, ``BiwsEvaluator(save_path=)``, the
+two-argument evaluator wrapper) run once each at tiny size.
 """
 
 import importlib

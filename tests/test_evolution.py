@@ -557,6 +557,31 @@ def test_parallel_jobs_match_serial(tmp_path):
         assert [r.id for r in a] == [r.id for r in b], algo.__name__
 
 
+class PickleCounter:
+    """Evaluator that counts how often it is pickled; module level for the pool."""
+
+    def __init__(self):
+        self.pickled = 0
+
+    def __getstate__(self):
+        self.pickled += 1
+        return {"pickled": 0}
+
+    def __call__(self, spec, candidate_id):
+        return node_fraction_fitness(spec)
+
+
+def test_the_pool_gets_the_evaluator_once_per_worker():
+    rng = random.Random(0)
+    batch = [Candidate(i, evolution._random_backbone(rng, 2, 6)) for i in range(4)]
+    ev = PickleCounter()
+    scored, _ = evolution._evaluate_batch(batch, ev, 2, ZERO_CLOCK)
+    assert [(c.id, c.score) for c, _ in scored] == \
+        [(c.id, node_fraction_fitness(c.spec)) for c in batch]
+    # once per worker at most, never with a submit
+    assert ev.pickled <= 2
+
+
 def _openblas(symbol):
     """``symbol`` of numpy's bundled OpenBLAS, or None where it is missing."""
     for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"):
