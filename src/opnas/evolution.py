@@ -35,9 +35,9 @@ returns a float in [0, 1] or an EvalResult. Exceptions and scores outside
 [0, 1] (NaN included) discard the candidate with a logged reason and the
 loop continues. An evaluator may also expose
 ``on_iteration_end(iteration, best)``, called once per completed iteration
-with ``[(candidate, payload)]`` for the iteration's best scored candidate
-(score descending, then id ascending) and its EvalResult payload, or with
-``[]`` when nothing scored (used for supernet weight write-back). The rest
+with ``[(record, payload)]``: the EvalRecord of the iteration's best scored
+candidate (score descending, then id ascending) and its EvalResult payload,
+or ``[]`` when nothing scored (used for supernet weight write-back). The rest
 of the batch is in the history; its payloads are dropped as soon as a
 better candidate returns, so the loop keeps at most one payload per batch.
 """
@@ -52,7 +52,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -136,13 +136,21 @@ class EvalRecord:
         }
 
     @classmethod
-    def from_json_dict(cls, d: Mapping) -> "EvalRecord":
+    def from_json_dict(cls, d) -> "EvalRecord":
+        """Parse a history row; ValueError names the first field it refuses."""
+        if not isinstance(d, Mapping):
+            raise ValueError(f"history row must be a JSON object, got {type(d).__name__}")
+        for f in fields(cls):
+            if f.name not in d:
+                raise ValueError(f"history row has no {f.name}")
+            if f.name != "spec":
+                check_number(d[f.name], f.type, f.name)
         return cls(
-            id=int(d["id"]),
-            parent_id=None if d["parent_id"] is None else int(d["parent_id"]),
+            id=d["id"],
+            parent_id=d["parent_id"],
             spec=backbone_from_payload(d["spec"]),
             score=float(d["score"]),
-            iteration=int(d["iteration"]),
+            iteration=d["iteration"],
             wall_ms=float(d["wall_ms"]),
         )
 
@@ -220,8 +228,10 @@ class UcbStats:
         self.kernel_counts: dict[int, dict[int, int]] = {}
 
 
-def record_result(stats: UcbStats, candidate: Candidate, score: float) -> UcbStats:
-    """Fold one evaluated candidate into the statistics (in place)."""
+def record_result(stats: UcbStats, candidate: Candidate | EvalRecord,
+                  score: float) -> UcbStats:
+    """Fold one evaluated candidate into the statistics (in place); only
+    its spec is read."""
     if not 0.0 <= score <= 1.0:
         raise ValueError(f"score must be in [0, 1], got {score}")
     for li, layer in enumerate(candidate.spec.layers):
@@ -319,34 +329,39 @@ def _make_child(parent: BackboneSpec, stats: UcbStats, op_dists: DistFn,
     return BackboneSpec(tuple(layers))
 
 
-def _top(candidates: Sequence[Candidate], count: int) -> list[Candidate]:
+def _top(records: Sequence[EvalRecord], count: int) -> list[EvalRecord]:
     # score desc, then id asc: deterministic under ties
-    return sorted(candidates, key=lambda c: (-c.score, c.id))[:count]
+    return sorted(records, key=lambda r: (-r.score, r.id))[:count]
 
 
-class _RunState:
-    """Mutable loop state: the checkpoint's counters and rng, plus what
-    ``advance`` folds from the scored candidates of every completed iteration."""
+class _Run:
+    """One run's loop state and the files that commit it: ``history.jsonl``
+    and ``checkpoint.json`` under out_dir, or nothing when out_dir is None.
+    The checkpoint holds the counters and rng; ``advance`` folds the rest
+    from the records of every completed iteration."""
 
-    def __init__(self, config: SearchConfig):
+    def __init__(self, config: SearchConfig, out_dir: str | Path | None):
         self.config = config
         self.rng = random.Random(config.seed)
         self.stats = UcbStats()
-        self.population: list[Candidate] = []
+        self.population: list[EvalRecord] = []
         self.history: list[EvalRecord] = []
         self.next_id = 0
         self.iteration = -1  # last completed iteration; init counts as 0
         self.evaluations = 0
         self.best_score: float | None = None
         self.stale = 0
+        self.dir = Path(out_dir) if out_dir is not None else None
+        if self.dir is not None:
+            self.dir.mkdir(parents=True, exist_ok=True)
 
-    def advance(self, iteration: int, scored: Sequence[Candidate]) -> None:
-        """Fold one completed iteration's scored candidates, in id order; a
-        resume replays the history through it (``_top`` is a strict order)."""
-        for cand in scored:
-            record_result(self.stats, cand, cand.score)
-        self.evaluations += len(scored)
-        self.population = _top(self.population + list(scored),
+    def advance(self, iteration: int, records: Sequence[EvalRecord]) -> None:
+        """Fold one completed iteration's records, in id order; a resume
+        replays the history through it (``_top`` is a strict order)."""
+        for rec in records:
+            record_result(self.stats, rec, rec.score)
+        self.evaluations += len(records)
+        self.population = _top(self.population + list(records),
                                self.config.population_size)
         self.iteration = iteration
         top = self.population[0].score if self.population else None
@@ -356,8 +371,23 @@ class _RunState:
         else:
             self.stale += 1
 
-    def checkpoint_dict(self) -> dict:
-        return {
+    def commit(self, iteration: int, records: Sequence[EvalRecord], best,
+               evaluator) -> None:
+        """Complete one iteration: fold its records, hand the evaluator's
+        ``on_iteration_end`` the batch's best, append the records to the
+        history, then replace the checkpoint, which makes the iteration count."""
+        self.history.extend(records)
+        self.advance(iteration, records)
+        hook = getattr(evaluator, "on_iteration_end", None)
+        if hook is not None:
+            hook(iteration, [] if best is None else [best])
+        if self.dir is None:
+            return
+        if records:
+            with open(self.dir / HISTORY_FILE, "a") as fh:
+                for rec in records:
+                    fh.write(json.dumps(rec.to_json_dict()) + "\n")
+        checkpoint = {
             "version": CHECKPOINT_VERSION,
             "config": {f: getattr(self.config, f) for f in SearchConfig._RESUME_FIELDS},
             "iteration": self.iteration,
@@ -365,10 +395,28 @@ class _RunState:
             "evaluations": self.evaluations,
             "rng_state": self.rng.getstate(),  # tuples dump as JSON lists
         }
+        tmp = self.dir / (CHECKPOINT_FILE + ".tmp")
+        tmp.write_text(json.dumps(checkpoint, indent=2) + "\n")
+        tmp.replace(self.dir / CHECKPOINT_FILE)
 
-    def load_checkpoint(self, d) -> tuple[int, int]:
-        """Check a checkpoint against the run's config and restore its rng and
-        next id; returns its (iteration, evaluations) for the history replay."""
+    def start_afresh(self) -> None:
+        """Drop a previous run's history and checkpoint, so the files a
+        fresh run leaves describe that run alone."""
+        if self.dir is not None:
+            (self.dir / HISTORY_FILE).unlink(missing_ok=True)
+            (self.dir / CHECKPOINT_FILE).unlink(missing_ok=True)
+
+    def resume(self) -> None:
+        """Check the checkpoint against the config and restore its rng and
+        next id, drop the history rows of an uncommitted iteration, and
+        replay the rest through ``advance``."""
+        path = self.dir / CHECKPOINT_FILE if self.dir is not None else None
+        if path is None or not path.exists():
+            raise CheckpointError(f"no checkpoint at {path}")
+        try:
+            d = json.loads(path.read_text())
+        except json.JSONDecodeError as e:
+            raise CheckpointError(f"malformed checkpoint: {e}") from None
         if not isinstance(d, dict):
             raise CheckpointError("malformed checkpoint: not a JSON object")
         if d.get("version") != CHECKPOINT_VERSION:
@@ -389,118 +437,71 @@ class _RunState:
         except (TypeError, ValueError) as e:
             raise CheckpointError(f"malformed checkpoint: rng_state: {e}") from None
         self.next_id = d["next_id"]
-        return d["iteration"], d["evaluations"]
-
-
-class _Sink:
-    """History/checkpoint writer. With no out_dir everything stays in memory."""
-
-    def __init__(self, out_dir: str | Path | None):
-        self.dir = Path(out_dir) if out_dir is not None else None
-        if self.dir is not None:
-            self.dir.mkdir(parents=True, exist_ok=True)
-
-    @property
-    def history_path(self) -> Path | None:
-        return None if self.dir is None else self.dir / HISTORY_FILE
-
-    @property
-    def checkpoint_path(self) -> Path | None:
-        return None if self.dir is None else self.dir / CHECKPOINT_FILE
-
-    def start_afresh(self) -> None:
-        """Drop a previous run's history and checkpoint, so the files a
-        fresh run leaves describe that run alone."""
-        if self.dir is not None:
-            self.history_path.unlink(missing_ok=True)
-            self.checkpoint_path.unlink(missing_ok=True)
-
-    def append_history(self, records: Sequence[EvalRecord]) -> None:
-        if self.dir is None or not records:
-            return
-        with open(self.history_path, "a") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec.to_json_dict()) + "\n")
-
-    def write_checkpoint(self, state: _RunState) -> None:
-        if self.dir is None:
-            return
-        tmp = self.checkpoint_path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(state.checkpoint_dict(), indent=2) + "\n")
-        tmp.replace(self.checkpoint_path)
-
-    def load_for_resume(self, state: _RunState) -> None:
-        """Restore the rng and ids from the checkpoint, drop the history rows
-        of an uncommitted iteration, and replay the rest through ``advance``."""
-        if self.dir is None or not self.checkpoint_path.exists():
-            raise CheckpointError(f"no checkpoint at {self.checkpoint_path}")
-        try:
-            payload = json.loads(self.checkpoint_path.read_text())
-        except json.JSONDecodeError as e:
-            raise CheckpointError(f"malformed checkpoint: {e}") from None
-        iteration, evaluations = state.load_checkpoint(payload)
-        lines = (self.history_path.read_text().splitlines()
-                 if self.history_path.exists() else [])
+        iteration = d["iteration"]
+        history_path = self.dir / HISTORY_FILE
+        lines = history_path.read_text().splitlines() if history_path.exists() else []
         kept: list[EvalRecord] = []
         for n, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             try:
                 rec = EvalRecord.from_json_dict(json.loads(line))
-            except (KeyError, TypeError, ValueError) as e:
+            except ValueError as e:
                 if n == len(lines):
-                    # torn by a crash inside append_history, which precedes
-                    # the checkpoint write: never committed
+                    # torn by a crash while ``commit`` appended, which
+                    # precedes the checkpoint write: never committed
                     break
-                raise CheckpointError(f"{self.history_path} line {n}: {e}") from None
+                raise CheckpointError(f"{history_path} line {n}: {e}") from None
             if 0 <= rec.iteration <= iteration:
                 kept.append(rec)
-        if len(kept) != evaluations:
+        if len(kept) != d["evaluations"]:
             raise CheckpointError(f"history holds {len(kept)} evaluations up to iteration "
-                                  f"{iteration}, checkpoint counts {evaluations}")
+                                  f"{iteration}, checkpoint counts {d['evaluations']}")
         if lines:
-            tmp = self.history_path.with_suffix(".jsonl.tmp")
+            tmp = history_path.with_suffix(".jsonl.tmp")
             tmp.write_text("".join(json.dumps(r.to_json_dict()) + "\n" for r in kept))
-            tmp.replace(self.history_path)
-        state.history = kept
-        scored = {it: [] for it in range(iteration + 1)}  # empty iterations too
+            tmp.replace(history_path)
+        self.history = kept
+        by_iteration = {it: [] for it in range(iteration + 1)}  # empty ones too
         for rec in kept:
-            scored[rec.iteration].append(Candidate(rec.id, rec.spec, rec.score,
-                                                   rec.parent_id))
-        for it, cands in scored.items():
-            state.advance(it, cands)
+            by_iteration[rec.iteration].append(rec)
+        for it, records in by_iteration.items():
+            self.advance(it, records)
 
 
-def _evaluate_batch(candidates, evaluator, jobs, clock):
-    """Score a batch; returns ([(scored candidate, wall_ms)] in id order, best).
+def _evaluate_batch(candidates, evaluator, jobs, clock, iteration):
+    """Score a batch; returns (its scored candidates' records in id order, best).
 
-    ``best`` is (candidate, payload) of the batch's best scored candidate,
-    ranked as ``_top`` ranks, or None when nothing scored. Outcomes are
-    taken in id order and only the running best's payload is kept, so a
-    payload (a candidate's trained weights, say) is dropped as soon as a
-    better candidate returns. Failures are logged and dropped. With
-    jobs > 1 the evaluator runs in a process pool of one-BLAS-thread
-    workers, so it must be picklable and deterministic given
-    (spec, candidate_id). Each worker gets the evaluator once, when it
+    Each record is stamped with ``iteration``. ``best`` is (record, payload)
+    of the batch's best record, ranked as ``_top`` ranks, or None when
+    nothing scored. Outcomes are taken in id order and only the running
+    best's payload is kept, so a payload (a candidate's trained weights,
+    say) is dropped as soon as a better candidate returns. Failures are
+    logged and dropped. With jobs > 1 the evaluator runs in a process pool
+    of one-BLAS-thread workers, so it must be picklable and deterministic
+    given (spec, candidate_id). Each worker gets the evaluator once, when it
     starts, and a submit carries only (spec, candidate_id); the pool lives
     for one batch, so its workers see the evaluator as the last iteration
     left it. Each future is released once read, since it holds the
-    payload. A worker that dies breaks the pool: every candidate
-    not finished by then is logged and dropped too, and the next batch
-    gets a new pool.
+    payload. A result that cannot come back from its worker (an
+    unpicklable payload, say) is logged and dropped like an evaluator
+    error. A worker that dies breaks the pool: every candidate not
+    finished by then is logged and dropped too, and the next batch gets a
+    new pool.
     """
-    scored, best = [], None
+    records, best = [], None
     if jobs <= 1 or len(candidates) <= 1:
         for cand in candidates:
-            best = _fold(scored, best, cand,
+            best = _fold(records, best, cand, iteration,
                          *_timed_eval(evaluator, cand.spec, cand.id, clock))
-        return scored, best
+        return records, best
     with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker,
                              initargs=(evaluator,)) as pool:
         futures = [pool.submit(_worker_eval, c.spec, c.id) for c in candidates]
         for cand in candidates:
-            best = _fold(scored, best, cand, *_read(futures.pop(0), clock))
-    return scored, best
+            best = _fold(records, best, cand, iteration,
+                         *_read(futures.pop(0), clock))
+    return records, best
 
 
 # a pool worker's evaluator, set once by ``_start_worker``
@@ -543,6 +544,8 @@ def _read(future, clock) -> tuple:
         outcome, wall_ms = future.result()
     except BrokenProcessPool as e:
         return f"worker died: {e}", 0.0
+    except Exception as e:  # an outcome that cannot come back, say
+        return f"{type(e).__name__}: {e}", 0.0
     if clock is not time.perf_counter:
         # an injected clock rules the records even in pool mode, so runs
         # stay reproducible under a constant clock
@@ -550,110 +553,96 @@ def _read(future, clock) -> tuple:
     return outcome, wall_ms
 
 
-def _fold(scored: list, best, cand: Candidate, outcome, wall_ms: float):
-    """Add one outcome to ``scored``; returns the running best (candidate, payload)."""
+def _fold(records: list, best, cand: Candidate, iteration: int, outcome,
+          wall_ms: float):
+    """Add one outcome to ``records``; returns the running best (record, payload)."""
     if isinstance(outcome, str):
         log.warning("candidate %d discarded: %s", cand.id, outcome)
         return best
-    cand = replace(cand, score=outcome.score)
-    scored.append((cand, wall_ms))
+    rec = EvalRecord(cand.id, cand.parent_id, cand.spec, outcome.score, iteration, wall_ms)
+    records.append(rec)
     # outcomes arrive in id order, so only a strictly higher score outranks
-    if best is None or cand.score > best[0].score:
-        return cand, outcome.payload
+    if best is None or rec.score > best[0].score:
+        return rec, outcome.payload
     return best
 
 
-def _finish_iteration(state: _RunState, sink: _Sink, evaluator,
-                      scored, best, iteration: int) -> None:
-    """Apply one iteration's results in candidate-id order, then persist."""
-    records = [EvalRecord(cand.id, cand.parent_id, cand.spec, cand.score,
-                          iteration, wall_ms) for cand, wall_ms in scored]
-    state.history.extend(records)
-    state.advance(iteration, [cand for cand, _ in scored])
-    hook = getattr(evaluator, "on_iteration_end", None)
-    if hook is not None:
-        hook(iteration, [] if best is None else [best])
-    sink.append_history(records)
-    sink.write_checkpoint(state)
-
-
-def _random_batch(state: _RunState, left: int | float) -> list[Candidate]:
+def _random_batch(run: _Run, left: int | float) -> list[Candidate]:
     """Fresh random specs: population_size while the population is empty
     (seed or re-seed), else k * children_per_parent; at most ``left``."""
-    config = state.config
-    size = (config.k * config.children_per_parent if state.population
+    config = run.config
+    size = (config.k * config.children_per_parent if run.population
             else config.population_size)
-    batch = [Candidate(id=state.next_id + i,
-                       spec=_random_backbone(state.rng, config.num_layers,
+    batch = [Candidate(id=run.next_id + i,
+                       spec=_random_backbone(run.rng, config.num_layers,
                                              config.max_path_len))
              for i in range(min(size, left))]
-    state.next_id += len(batch)
+    run.next_id += len(batch)
     return batch
 
 
-def _children(state: _RunState, op_dists: DistFn) -> list[Candidate]:
+def _children(run: _Run, op_dists: DistFn) -> list[Candidate]:
     """Proposal of the evolved strategies: children of the top k.
 
     The intra-layer edit draws its op from ``op_dists(position)``. While
     the population is empty (seed or re-seed) the proposal is a random
     batch. Empty once max_iterations, patience or max_evaluations binds.
     """
-    config = state.config
-    if state.iteration >= config.max_iterations or (
-            state.iteration >= 0 and state.stale >= config.patience):
+    config = run.config
+    if run.iteration >= config.max_iterations or (
+            run.iteration >= 0 and run.stale >= config.patience):
         return []
     budget = config.max_evaluations
-    left = math.inf if budget is None else budget - state.evaluations
-    if not state.population:
-        return _random_batch(state, left)
+    left = math.inf if budget is None else budget - run.evaluations
+    if not run.population:
+        return _random_batch(run, left)
     allowed = min(config.k * config.children_per_parent, left)
     children = []
-    for parent in _top(state.population, config.k):
+    for parent in _top(run.population, config.k):
         for _ in range(config.children_per_parent):
             if len(children) >= allowed:
                 break
-            spec = _make_child(parent.spec, state.stats, op_dists, state.rng,
+            spec = _make_child(parent.spec, run.stats, op_dists, run.rng,
                                config.max_path_len)
-            children.append(Candidate(id=state.next_id, spec=spec,
+            children.append(Candidate(id=run.next_id, spec=spec,
                                       parent_id=parent.id))
-            state.next_id += 1
+            run.next_id += 1
     return children
 
 
-def _failed_streak(state: _RunState) -> int:
+def _failed_streak(run: _Run) -> int:
     """Completed iterations since the last one that scored a candidate."""
-    last = state.history[-1].iteration if state.history else -1
-    return state.iteration - last
+    last = run.history[-1].iteration if run.history else -1
+    return run.iteration - last
 
 
 def _run(config: SearchConfig, evaluator, propose, out_dir, resume: bool,
          clock) -> list[EvalRecord]:
-    """The one search loop; a strategy is its ``propose(state)`` rule."""
+    """The one search loop; a strategy is its ``propose(run)`` rule."""
     clock = clock or time.perf_counter
-    state = _RunState(config)
-    sink = _Sink(out_dir)
+    run = _Run(config, out_dir)
     if resume:
-        sink.load_for_resume(state)
+        run.resume()
     else:
-        sink.start_afresh()
-    while batch := propose(state):
-        scored, best = _evaluate_batch(batch, evaluator, config.jobs, clock)
-        if not scored and _failed_streak(state) + 1 >= FAILED_BATCH_LIMIT:
-            first, last = state.iteration + 2 - FAILED_BATCH_LIMIT, state.iteration + 1
+        run.start_afresh()
+    while batch := propose(run):
+        iteration = run.iteration + 1
+        records, best = _evaluate_batch(batch, evaluator, config.jobs, clock, iteration)
+        if not records and _failed_streak(run) + 1 >= FAILED_BATCH_LIMIT:
+            first, last = iteration + 1 - FAILED_BATCH_LIMIT, iteration
             raise EvaluationFailed(f"every candidate of {FAILED_BATCH_LIMIT} batches in "
                                    f"a row failed evaluation (iterations {first}-{last})")
-        _finish_iteration(state, sink, evaluator, scored, best,
-                          iteration=state.iteration + 1)
+        run.commit(iteration, records, best, evaluator)
         del best  # the payload must not outlive its iteration into the next batch
-    return state.history
+    return run.history
 
 
 def search(config: SearchConfig, evaluator, out_dir=None,
            resume: bool = False, clock=None) -> list[EvalRecord]:
     """Operation-priority search: UCB-guided intra-layer mutation."""
     return _run(config, evaluator,
-                lambda state: _children(
-                    state, lambda j: op_distribution(state.stats, j, config.alpha)),
+                lambda run: _children(
+                    run, lambda j: op_distribution(run.stats, j, config.alpha)),
                 out_dir, resume, clock)
 
 
@@ -661,7 +650,7 @@ def vanilla_ea(config: SearchConfig, evaluator, out_dir=None,
                resume: bool = False, clock=None) -> list[EvalRecord]:
     """Same loop as search() but mutation ops are drawn uniformly."""
     return _run(config, evaluator,
-                lambda state: _children(state, uniform_op_distribution),
+                lambda run: _children(run, uniform_op_distribution),
                 out_dir, resume, clock)
 
 
@@ -675,7 +664,7 @@ def random_search(config: SearchConfig, evaluator, out_dir=None,
         budget = (config.population_size
                   + config.max_iterations * config.k * config.children_per_parent)
     return _run(config, evaluator,
-                lambda state: _random_batch(state, budget - state.evaluations),
+                lambda run: _random_batch(run, budget - run.evaluations),
                 out_dir, resume, clock)
 
 

@@ -140,6 +140,8 @@ class Supernet:
         """Read what ``save`` wrote; ValueError when the file holds anything else."""
         with np.load(path) as data:
             meta = json.loads(str(data["__meta__"]))
+            if not isinstance(meta, dict):
+                raise ValueError(f"__meta__ must be a JSON object, got {type(meta).__name__}")
             if meta.get("version") != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported supernet checkpoint version "
                                  f"{meta.get('version')!r}")
@@ -286,7 +288,7 @@ class BiwsEvaluator:
                           payload={name: p.data for name, p in model.params.items()})
 
     def on_iteration_end(self, iteration: int, best) -> None:
-        """Write back ``best``, the iteration's [(candidate, payload)] or []."""
+        """Write back ``best``, the iteration's [(record, payload)] or []."""
         if self.supernet is None or not best:
             return
         [(_, trained)] = best

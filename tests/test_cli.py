@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from opnas.cli import main
-from opnas.evolution import read_history
+from opnas.evolution import EvalRecord, read_history
 from opnas.model import ModelConfig, OptimConfig, synth_corpus
 from opnas.search_space import (
     BackboneSpec,
@@ -182,6 +182,8 @@ MALFORMED_SUPERNETS = {
     "missing-config-key": lambda meta, store: meta["config"].pop("ffn_ratio"),
     "wrong-shape": lambda meta, store: store.update({"layer0.ffn.w1": np.zeros((16, 8))}),
     "short-layer-versions": lambda meta, store: meta.update(layer_versions=[0]),
+    # JSON, but no object; it replaces the __meta__ written from ``meta``
+    "meta-not-object": lambda meta, store: store.update(__meta__=np.array("[1, 2]")),
 }
 
 
@@ -196,7 +198,7 @@ def test_malformed_supernet_is_exit_3(damage, command, tiny_cfg, tmp_path, capsy
     meta = json.loads(str(store.pop("__meta__")))
     MALFORMED_SUPERNETS[damage](meta, store)
     with open(ckpt, "wb") as fh:
-        np.savez(fh, __meta__=np.array(json.dumps(meta)), **store)
+        np.savez(fh, **{"__meta__": np.array(json.dumps(meta)), **store})
     spec_path = tmp_path / "std.json"
     spec_path.write_text(serialize(standard_backbone(2)))
     argv = ("eval", spec_path) if command == "eval" else ("search",)
@@ -708,10 +710,18 @@ def test_plot_data_cumulative_best(tiny_cfg, tmp_path, capsys):
     assert bests == sorted(bests) or all(b >= a for a, b in zip(bests, bests[1:]))
 
 
-def test_plot_data_malformed_is_exit_5(tmp_path):
+GOOD_ROW = EvalRecord(id=0, parent_id=None, spec=standard_backbone(2), score=0.5,
+                      iteration=0, wall_ms=1.0).to_json_dict()
+
+
+def test_plot_data_malformed_is_exit_5(tmp_path, capsys):
     bad = tmp_path / "history.jsonl"
-    bad.write_text("not json at all\n")
-    assert run("plot-data", bad, "--out-dir", tmp_path / "p") == 5
+    for line in ("not json at all", "[1, 2]", json.dumps({**GOOD_ROW, "id": None}),
+                 json.dumps({**GOOD_ROW, "iteration": 2.7})):
+        bad.write_text(json.dumps(GOOD_ROW) + "\n" + line + "\n")
+        assert run("plot-data", bad, "--out-dir", tmp_path / "p") == 5, line
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot read history "), err
 
 
 def test_plot_data_missing_file_is_exit_5(tmp_path):

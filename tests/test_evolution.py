@@ -6,6 +6,7 @@ import logging
 import math
 import os
 import random
+import threading
 import weakref
 from pathlib import Path
 
@@ -492,8 +493,7 @@ def test_hook_is_handed_the_batch_best_only():
                          clock=ZERO_CLOCK)
         assert [i for i, _ in ev.handed] == [0, 1, 2, 3]
         for iteration, best in ev.handed:
-            batch = [Candidate(r.id, r.spec, r.score, r.parent_id)
-                     for r in records if r.iteration == iteration]
+            batch = [r for r in records if r.iteration == iteration]
             if iteration == 1:
                 assert batch == [] and best == []
                 continue
@@ -575,11 +575,27 @@ def test_the_pool_gets_the_evaluator_once_per_worker():
     rng = random.Random(0)
     batch = [Candidate(i, evolution._random_backbone(rng, 2, 6)) for i in range(4)]
     ev = PickleCounter()
-    scored, _ = evolution._evaluate_batch(batch, ev, 2, ZERO_CLOCK)
-    assert [(c.id, c.score) for c, _ in scored] == \
+    records, _ = evolution._evaluate_batch(batch, ev, 2, ZERO_CLOCK, iteration=0)
+    assert [(r.id, r.score) for r in records] == \
         [(c.id, node_fraction_fitness(c.spec)) for c in batch]
     # once per worker at most, never with a submit
     assert ev.pickled <= 2
+
+
+def unpicklable_payload_fitness(spec, candidate_id):
+    # module level so a process pool can pickle it, though not its result
+    return EvalResult(0.5, payload=threading.Lock())
+
+
+def test_a_result_that_cannot_come_back_is_a_logged_discard(caplog):
+    cfg = tiny_search_config(population_size=4, max_iterations=3, jobs=2)
+    with caplog.at_level(logging.WARNING, logger="opnas.evolution"):
+        with pytest.raises(EvaluationFailed, match="3 batches in a row"):
+            search(cfg, unpicklable_payload_fitness, clock=ZERO_CLOCK)
+    # three seed batches of 4, every one discarded with the pickling error
+    discarded = [m for m in caplog.messages if "discarded" in m]
+    assert len(discarded) == 12
+    assert all("cannot pickle" in m for m in discarded), discarded
 
 
 def _openblas(symbol):
@@ -751,7 +767,7 @@ def test_resume_drops_a_torn_last_history_line(algo, tmp_path):
     algo(cfg, node_fraction_fitness, out_dir=gold, clock=ZERO_CLOCK)
     with pytest.raises(Crash):
         algo(cfg, crash_at(CRASH_ID), out_dir=cut, clock=ZERO_CLOCK)
-    # a crash inside append_history: one row of the next iteration written,
+    # a crash while commit appends the rows: one of the next iteration written,
     # the second cut inside its line, and no checkpoint after them
     hist = cut / "history.jsonl"
     committed = len(hist.read_text().splitlines())
@@ -932,8 +948,27 @@ def test_read_history_rejects_an_illegal_dag(tmp_path):
         read_history(p)
 
 
+GOOD_RECORD = EvalRecord(id=3, parent_id=1, spec=S.standard_backbone(1), score=0.5,
+                         iteration=1, wall_ms=2.0)
+GOOD_ROW = GOOD_RECORD.to_json_dict()
+# history rows a reader must refuse, and the field its ValueError names
+BAD_ROWS = {
+    "not-an-object": ([1, 2], "JSON object"),
+    "unknown-fields-only": ({"id": 0, "nope": 1}, "parent_id"),
+    "missing-field": ({k: v for k, v in GOOD_ROW.items() if k != "wall_ms"}, "wall_ms"),
+    "null-id": ({**GOOD_ROW, "id": None}, "id"),
+    "fractional-id": ({**GOOD_ROW, "id": 2.7}, "id"),  # no truncation to 2
+    "bool-iteration": ({**GOOD_ROW, "iteration": True}, "iteration"),
+    "string-parent": ({**GOOD_ROW, "parent_id": "1"}, "parent_id"),
+    "string-score": ({**GOOD_ROW, "score": "0.5"}, "score"),
+    "null-wall-ms": ({**GOOD_ROW, "wall_ms": None}, "wall_ms"),
+}
+
+
 def test_read_history_rejects_garbage(tmp_path):
+    assert EvalRecord.from_json_dict(GOOD_ROW) == GOOD_RECORD
     p = tmp_path / "history.jsonl"
-    p.write_text('{"id": 0, "nope": 1}\n')
-    with pytest.raises((KeyError, ValueError)):
-        read_history(p)
+    for row, field in BAD_ROWS.values():
+        p.write_text(json.dumps(row) + "\n")
+        with pytest.raises(ValueError, match=rf"\b{field}\b"):
+            read_history(p)

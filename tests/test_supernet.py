@@ -411,13 +411,40 @@ def test_evaluator_writes_best_only(config, corpus):
 # determinism of BIWS runs over process pools and resumes
 
 
+class Crash(BaseException):
+    """A hard stop in the middle of a run, as a kill would make one."""
+
+
+class CrashingBiws(BiwsEvaluator):
+    """BiwsEvaluator that stops its run when it is handed candidate
+    ``at_candidate``, or once the write-back of iteration ``after_hook`` is
+    saved; module level so a process pool can pickle it."""
+
+    def __init__(self, *args, at_candidate=None, after_hook=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.at_candidate, self.after_hook = at_candidate, after_hook
+
+    def __call__(self, spec, candidate_id):
+        if candidate_id == self.at_candidate:
+            raise Crash(f"at candidate {candidate_id}")
+        return super().__call__(spec, candidate_id)
+
+    def on_iteration_end(self, iteration, best):
+        super().on_iteration_end(iteration, best)
+        if iteration == self.after_hook:
+            raise Crash(f"after the write-back of iteration {iteration}")
+
+
 def _tiny_biws_search(out: Path, jobs: int = 1, max_iterations: int = 3,
-                      resume: bool = False) -> None:
+                      resume: bool = False, **crash) -> None:
+    """Population 4, k 2, one child each: iteration 0 scores ids 0-3, then
+    each iteration two children; ``crash`` goes to ``CrashingBiws``."""
     config = ModelConfig(num_layers=2, d_model=16, n_heads=2, vocab=16, seq_len=8)
     corpus = synth_corpus(seed=0, size=16, vocab=16, seq_len=8)
     sn = Supernet.load(out / "sn.npz") if resume else init_supernet(config, rng=0)
-    ev = BiwsEvaluator(sn, corpus, steps=1, optim=OptimConfig(batch_size=2),
-                       seed=0, save_path=out / "sn.npz")
+    evaluator = CrashingBiws if crash else BiwsEvaluator
+    ev = evaluator(sn, corpus, steps=1, optim=OptimConfig(batch_size=2),
+                   seed=0, save_path=out / "sn.npz", **crash)
     cfg = SearchConfig(population_size=4, k=2, children_per_parent=1,
                        max_iterations=max_iterations, seed=0, num_layers=2,
                        jobs=jobs)
@@ -442,6 +469,31 @@ def test_biws_pool_run_equals_serial(serial_biws_run, tmp_path):
 
 def test_biws_resumed_run_equals_uninterrupted(serial_biws_run, tmp_path):
     _tiny_biws_search(tmp_path, max_iterations=1)
+    _tiny_biws_search(tmp_path, resume=True)
+    for name in RUN_FILES:
+        assert (tmp_path / name).read_bytes() == (serial_biws_run / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_biws_run_crashed_mid_batch_resumes_to_uninterrupted(serial_biws_run, tmp_path,
+                                                             jobs):
+    # candidate 5 is the second child of iteration 1: the crash comes after
+    # candidate 4 is scored and before the iteration commits
+    with pytest.raises(Crash):
+        _tiny_biws_search(tmp_path, jobs=jobs, at_candidate=5)
+    _tiny_biws_search(tmp_path, jobs=jobs, resume=True)
+    for name in RUN_FILES:
+        assert (tmp_path / name).read_bytes() == (serial_biws_run / name).read_bytes(), name
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_biws_run_crashed_after_the_write_back_resumes_to_uninterrupted(serial_biws_run,
+                                                                        tmp_path):
+    # the hook has saved iteration 1's write-back to sn.npz, but the
+    # checkpoint still names iteration 0, so the resume replays iteration 1
+    # on a supernet that already holds its write-back
+    with pytest.raises(Crash):
+        _tiny_biws_search(tmp_path, after_hook=1)
     _tiny_biws_search(tmp_path, resume=True)
     for name in RUN_FILES:
         assert (tmp_path / name).read_bytes() == (serial_biws_run / name).read_bytes(), name
