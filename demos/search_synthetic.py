@@ -50,7 +50,7 @@ def main():
     print(f"evaluations to reach fitness >= {THRESHOLD} (budget 300):")
     for tag, algo in (("guided", search), ("vanilla ea", vanilla_ea),
                       ("random", random_search)):
-        records = algo(cfg, fitness, clock=lambda: 0.0)
+        records = algo(cfg, fitness)
         best = max(r.score for r in records)
         hit = evals_to_threshold(records)
         print(f"  {tag:>10}: {hit if hit else 'not reached':>11}  "
@@ -64,12 +64,12 @@ def main():
         gold_dir, cut_dir = Path(tmp) / "gold", Path(tmp) / "cut"
         short = SearchConfig(population_size=8, k=2, alpha=0.25, seed=5,
                              num_layers=2, max_path_len=5, max_iterations=6)
-        search(short, fitness, out_dir=gold_dir, clock=lambda: 0.0)
+        search(short, fitness, out_dir=gold_dir)
 
         half = SearchConfig(population_size=8, k=2, alpha=0.25, seed=5,
                             num_layers=2, max_path_len=5, max_iterations=3)
-        search(half, fitness, out_dir=cut_dir, clock=lambda: 0.0)
-        search(short, fitness, out_dir=cut_dir, resume=True, clock=lambda: 0.0)
+        search(half, fitness, out_dir=cut_dir)
+        search(short, fitness, out_dir=cut_dir, resume=True)
 
         gold = (gold_dir / "history.jsonl").read_bytes()
         cut = (cut_dir / "history.jsonl").read_bytes()

@@ -8,20 +8,4 @@ search and two baselines as its proposal rules), ``supernet``
 (token-uniformity diagnostics), and ``cli``.
 """
 
-from opnas.search_space import (
-    AttentionDag,
-    BackboneSpec,
-    DagNode,
-    IllegalGraph,
-    LayerSpec,
-)
-
-__all__ = [
-    "AttentionDag",
-    "BackboneSpec",
-    "DagNode",
-    "IllegalGraph",
-    "LayerSpec",
-]
-
 __version__ = "0.1.0"

@@ -22,10 +22,6 @@ scores candidate i, ``eval`` scores its spec as a search with that seed
 scores candidate 0, and ``metrics`` trains seed s as candidate s. With
 ``--biws`` the weights start from a supernet checkpoint, whose config must
 equal the run config (exit 3 otherwise); ``eval`` never writes it back.
-
-Search histories written by this command record wall_ms = 0.0: the run
-artifacts are specified to be byte-identical for a fixed seed, which real
-timing cannot satisfy. Library callers get real timing by default.
 """
 
 from __future__ import annotations
@@ -258,8 +254,7 @@ def _search(args, cfg: RunConfig) -> int:
 
     algo = {"op": search, "ea": vanilla_ea, "rs": random_search}[args.baseline]
     try:
-        records = algo(cfg.search, evaluator, out_dir=cfg.out, resume=args.resume,
-                       clock=lambda: 0.0)
+        records = algo(cfg.search, evaluator, out_dir=cfg.out, resume=args.resume)
     except CheckpointError as e:
         raise CliError(EXIT_CHECKPOINT, str(e)) from None
     except EvaluationFailed as e:
@@ -351,7 +346,7 @@ def cmd_plot_data(args) -> int:
     path = Path(args.history)
     try:
         records = read_history(path)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
+    except (OSError, ValueError) as e:
         raise CliError(EXIT_DATA, f"cannot read history {path}: {e}") from None
     tag = path.resolve().parent.name
     lines = ["algorithm,evaluation,score,best_score"]

@@ -26,9 +26,10 @@ replays the history's committed iterations through the loop's own
 per-iteration fold, which rebuilds the population, statistics, best score
 and patience counter, then replays the interrupted iteration from the
 checkpointed rng state, so its history file is byte-identical to an
-uninterrupted run (timing is injectable; wall_ms is the only
-nondeterministic field under a real clock). Rows past the checkpoint's
-iteration, a torn last line among them, were never committed and are dropped.
+uninterrupted run. The first ``evaluations`` rows are the committed ones
+(each must parse, in iterations 0..iteration); later rows are cut off.
+``clock=`` times each evaluator call into wall_ms; the default clock reads
+0.0, so a fixed seed repeats the history byte for byte.
 
 Evaluator contract: the loop calls ``evaluator(spec, candidate_id)``, which
 returns a float in [0, 1] or an EvalResult. Exceptions and scores outside
@@ -48,8 +49,8 @@ import ctypes
 import json
 import logging
 import math
+import os
 import random
-import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
@@ -149,7 +150,7 @@ class EvalRecord:
             id=d["id"],
             parent_id=d["parent_id"],
             spec=backbone_from_payload(d["spec"]),
-            score=float(d["score"]),
+            score=_check_score(float(d["score"])),
             iteration=d["iteration"],
             wall_ms=float(d["wall_ms"]),
         )
@@ -200,6 +201,13 @@ class SearchConfig:
                       "seed", "num_layers", "max_path_len")
 
 
+def _check_score(score: float) -> float:
+    """``score`` itself if it lies in [0, 1]; NaN does not."""
+    if not 0.0 <= score <= 1.0:
+        raise ValueError(f"score must be in [0, 1], got {score}")
+    return score
+
+
 class CheckpointError(RuntimeError):
     """Checkpoint missing, malformed, or inconsistent with the config."""
 
@@ -232,8 +240,7 @@ def record_result(stats: UcbStats, candidate: Candidate | EvalRecord,
                   score: float) -> UcbStats:
     """Fold one evaluated candidate into the statistics (in place); only
     its spec is read."""
-    if not 0.0 <= score <= 1.0:
-        raise ValueError(f"score must be in [0, 1], got {score}")
+    _check_score(score)
     for li, layer in enumerate(candidate.spec.layers):
         if layer.kind == "conv":
             counts = stats.kernel_counts.setdefault(li, {})
@@ -288,14 +295,18 @@ def kernel_distribution(stats: UcbStats, layer: int) -> dict[int, float]:
 # evaluator plumbing
 
 
-def _timed_eval(evaluator, spec, candidate_id, clock=time.perf_counter):
+def _zero_clock() -> float:
+    """The default clock, module level so a pool can pickle it."""
+    return 0.0
+
+
+def _timed_eval(evaluator, spec, candidate_id, clock):
     """(EvalResult or error text, wall_ms) of one evaluator call."""
     t0 = clock()
     try:
         out = evaluator(spec, candidate_id)
         result = out if isinstance(out, EvalResult) else EvalResult(score=float(out))
-        if not 0.0 <= result.score <= 1.0:  # NaN fails this too
-            raise ValueError(f"score must be in [0, 1], got {result.score}")
+        _check_score(result.score)
     except Exception as e:  # reported for the discard log, never raised
         return f"{type(e).__name__}: {e}", 0.0
     return result, (clock() - t0) * 1000.0
@@ -408,8 +419,8 @@ class _Run:
 
     def resume(self) -> None:
         """Check the checkpoint against the config and restore its rng and
-        next id, drop the history rows of an uncommitted iteration, and
-        replay the rest through ``advance``."""
+        next id, check the first ``evaluations`` history rows, cut off the
+        uncommitted rows after them, and replay them through ``advance``."""
         path = self.dir / CHECKPOINT_FILE if self.dir is not None else None
         if path is None or not path.exists():
             raise CheckpointError(f"no checkpoint at {path}")
@@ -437,30 +448,28 @@ class _Run:
         except (TypeError, ValueError) as e:
             raise CheckpointError(f"malformed checkpoint: rng_state: {e}") from None
         self.next_id = d["next_id"]
-        iteration = d["iteration"]
+        iteration, evaluations = d["iteration"], d["evaluations"]
         history_path = self.dir / HISTORY_FILE
-        lines = history_path.read_text().splitlines() if history_path.exists() else []
+        rows = (history_path.read_bytes().splitlines(keepends=True)
+                if history_path.exists() else [])
+        if not 0 <= evaluations <= len(rows):
+            raise CheckpointError(f"history holds {len(rows)} evaluations up to iteration "
+                                  f"{iteration}, checkpoint counts {evaluations}")
         kept: list[EvalRecord] = []
-        for n, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
+        for n, row in enumerate(rows[:evaluations], start=1):
             try:
-                rec = EvalRecord.from_json_dict(json.loads(line))
+                if not row.strip():
+                    raise ValueError("blank line")
+                if not row.endswith(b"\n"):  # the next append would join it
+                    raise ValueError("unterminated line")
+                rec = EvalRecord.from_json_dict(json.loads(row))
+                if not 0 <= rec.iteration <= iteration:
+                    raise ValueError(f"iteration {rec.iteration} is outside 0..{iteration}")
             except ValueError as e:
-                if n == len(lines):
-                    # torn by a crash while ``commit`` appended, which
-                    # precedes the checkpoint write: never committed
-                    break
                 raise CheckpointError(f"{history_path} line {n}: {e}") from None
-            if 0 <= rec.iteration <= iteration:
-                kept.append(rec)
-        if len(kept) != d["evaluations"]:
-            raise CheckpointError(f"history holds {len(kept)} evaluations up to iteration "
-                                  f"{iteration}, checkpoint counts {d['evaluations']}")
-        if lines:
-            tmp = history_path.with_suffix(".jsonl.tmp")
-            tmp.write_text("".join(json.dumps(r.to_json_dict()) + "\n" for r in kept))
-            tmp.replace(history_path)
+            kept.append(rec)
+        if rows:  # a crash inside ``commit`` can leave rows it never committed
+            os.truncate(history_path, sum(map(len, rows[:evaluations])))
         self.history = kept
         by_iteration = {it: [] for it in range(iteration + 1)}  # empty ones too
         for rec in kept:
@@ -478,14 +487,14 @@ def _evaluate_batch(candidates, evaluator, jobs, clock, iteration):
     best's payload is kept, so a payload (a candidate's trained weights,
     say) is dropped as soon as a better candidate returns. Failures are
     logged and dropped. With jobs > 1 the evaluator runs in a process pool
-    of one-BLAS-thread workers, so it must be picklable and deterministic
-    given (spec, candidate_id). Each worker gets the evaluator once, when it
-    starts, and a submit carries only (spec, candidate_id); the pool lives
-    for one batch, so its workers see the evaluator as the last iteration
-    left it. Each future is released once read, since it holds the
-    payload. A result that cannot come back from its worker (an
-    unpicklable payload, say) is logged and dropped like an evaluator
-    error. A worker that dies breaks the pool: every candidate not
+    of one-BLAS-thread workers, so the evaluator and clock must be picklable
+    and the evaluator deterministic given (spec, candidate_id). Each worker
+    gets both once, when it starts, and a submit carries only (spec,
+    candidate_id); the pool lives for one batch, so its workers see the
+    evaluator as the last iteration left it. Each future is released once
+    read, since it holds the payload. A result that cannot come back from
+    its worker (an unpicklable payload, say) is logged and dropped like an
+    evaluator error. A worker that dies breaks the pool: every candidate not
     finished by then is logged and dropped too, and the next batch gets a
     new pool.
     """
@@ -496,28 +505,27 @@ def _evaluate_batch(candidates, evaluator, jobs, clock, iteration):
                          *_timed_eval(evaluator, cand.spec, cand.id, clock))
         return records, best
     with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker,
-                             initargs=(evaluator,)) as pool:
+                             initargs=(evaluator, clock)) as pool:
         futures = [pool.submit(_worker_eval, c.spec, c.id) for c in candidates]
         for cand in candidates:
-            best = _fold(records, best, cand, iteration,
-                         *_read(futures.pop(0), clock))
+            best = _fold(records, best, cand, iteration, *_read(futures.pop(0)))
     return records, best
 
 
-# a pool worker's evaluator, set once by ``_start_worker``
-_worker_evaluator = None
+# a pool worker's evaluator and clock, set once by ``_start_worker``
+_worker_evaluator = _worker_clock = None
 
 
-def _start_worker(evaluator) -> None:
-    """Pool initializer: one BLAS thread, and the evaluator every submit runs."""
-    global _worker_evaluator
+def _start_worker(evaluator, clock) -> None:
+    """Pool initializer: one BLAS thread, and what every submit runs."""
+    global _worker_evaluator, _worker_clock
     _one_blas_thread()
-    _worker_evaluator = evaluator
+    _worker_evaluator, _worker_clock = evaluator, clock
 
 
 def _worker_eval(spec: BackboneSpec, candidate_id: int) -> tuple:
     """A pool worker's ``_timed_eval`` of the evaluator it started with."""
-    return _timed_eval(_worker_evaluator, spec, candidate_id)
+    return _timed_eval(_worker_evaluator, spec, candidate_id, _worker_clock)
 
 
 def _one_blas_thread() -> None:
@@ -537,20 +545,14 @@ def _one_blas_thread() -> None:
         set_threads(1)
 
 
-def _read(future, clock) -> tuple:
+def _read(future) -> tuple:
     """A pool future's (outcome, wall_ms), as ``_timed_eval`` reports them."""
-    t0 = clock()
     try:
-        outcome, wall_ms = future.result()
+        return future.result()
     except BrokenProcessPool as e:
         return f"worker died: {e}", 0.0
     except Exception as e:  # an outcome that cannot come back, say
         return f"{type(e).__name__}: {e}", 0.0
-    if clock is not time.perf_counter:
-        # an injected clock rules the records even in pool mode, so runs
-        # stay reproducible under a constant clock
-        wall_ms = (clock() - t0) * 1000.0
-    return outcome, wall_ms
 
 
 def _fold(records: list, best, cand: Candidate, iteration: int, outcome,
@@ -619,7 +621,6 @@ def _failed_streak(run: _Run) -> int:
 def _run(config: SearchConfig, evaluator, propose, out_dir, resume: bool,
          clock) -> list[EvalRecord]:
     """The one search loop; a strategy is its ``propose(run)`` rule."""
-    clock = clock or time.perf_counter
     run = _Run(config, out_dir)
     if resume:
         run.resume()
@@ -638,7 +639,7 @@ def _run(config: SearchConfig, evaluator, propose, out_dir, resume: bool,
 
 
 def search(config: SearchConfig, evaluator, out_dir=None,
-           resume: bool = False, clock=None) -> list[EvalRecord]:
+           resume: bool = False, clock=_zero_clock) -> list[EvalRecord]:
     """Operation-priority search: UCB-guided intra-layer mutation."""
     return _run(config, evaluator,
                 lambda run: _children(
@@ -647,7 +648,7 @@ def search(config: SearchConfig, evaluator, out_dir=None,
 
 
 def vanilla_ea(config: SearchConfig, evaluator, out_dir=None,
-               resume: bool = False, clock=None) -> list[EvalRecord]:
+               resume: bool = False, clock=_zero_clock) -> list[EvalRecord]:
     """Same loop as search() but mutation ops are drawn uniformly."""
     return _run(config, evaluator,
                 lambda run: _children(run, uniform_op_distribution),
@@ -655,7 +656,7 @@ def vanilla_ea(config: SearchConfig, evaluator, out_dir=None,
 
 
 def random_search(config: SearchConfig, evaluator, out_dir=None,
-                  resume: bool = False, clock=None) -> list[EvalRecord]:
+                  resume: bool = False, clock=_zero_clock) -> list[EvalRecord]:
     """Independent random specs in the evolved strategies' batches (a seed
     batch of population_size, then k * children_per_parent per iteration),
     up to max_evaluations or else the most an evolved run could evaluate."""

@@ -717,7 +717,8 @@ GOOD_ROW = EvalRecord(id=0, parent_id=None, spec=standard_backbone(2), score=0.5
 def test_plot_data_malformed_is_exit_5(tmp_path, capsys):
     bad = tmp_path / "history.jsonl"
     for line in ("not json at all", "[1, 2]", json.dumps({**GOOD_ROW, "id": None}),
-                 json.dumps({**GOOD_ROW, "iteration": 2.7})):
+                 json.dumps({**GOOD_ROW, "iteration": 2.7}),
+                 json.dumps({**GOOD_ROW, "score": 5.0})):
         bad.write_text(json.dumps(GOOD_ROW) + "\n" + line + "\n")
         assert run("plot-data", bad, "--out-dir", tmp_path / "p") == 5, line
         err = capsys.readouterr().err.strip().splitlines()

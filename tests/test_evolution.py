@@ -37,8 +37,6 @@ from opnas.evolution import (
     _top,
 )
 
-ZERO_CLOCK = lambda: 0.0
-
 STRATEGIES = (search, vanilla_ea, random_search)
 
 
@@ -282,8 +280,8 @@ def test_max_path_len_outside_what_a_spec_may_hold_is_refused(max_path_len):
 
 def test_search_is_deterministic(tmp_path):
     cfg = tiny_search_config()
-    a = search(cfg, node_fraction_fitness, out_dir=tmp_path / "a", clock=ZERO_CLOCK)
-    b = search(cfg, node_fraction_fitness, out_dir=tmp_path / "b", clock=ZERO_CLOCK)
+    a = search(cfg, node_fraction_fitness, out_dir=tmp_path / "a")
+    b = search(cfg, node_fraction_fitness, out_dir=tmp_path / "b")
     assert [r.to_json_dict() for r in a] == [r.to_json_dict() for r in b]
     assert (tmp_path / "a" / "history.jsonl").read_bytes() == \
         (tmp_path / "b" / "history.jsonl").read_bytes()
@@ -291,14 +289,14 @@ def test_search_is_deterministic(tmp_path):
 
 def test_history_file_matches_returned_records(tmp_path):
     cfg = tiny_search_config()
-    records = search(cfg, node_fraction_fitness, out_dir=tmp_path, clock=ZERO_CLOCK)
+    records = search(cfg, node_fraction_fitness, out_dir=tmp_path)
     on_disk = read_history(tmp_path / "history.jsonl")
     assert [r.to_json_dict() for r in on_disk] == [r.to_json_dict() for r in records]
 
 
 def test_history_ids_sequential_and_specs_valid(tmp_path):
     cfg = tiny_search_config()
-    records = search(cfg, node_fraction_fitness, out_dir=tmp_path, clock=ZERO_CLOCK)
+    records = search(cfg, node_fraction_fitness, out_dir=tmp_path)
     assert [r.id for r in records] == list(range(len(records)))
     for rec in records:
         for layer in rec.spec.layers:
@@ -309,7 +307,7 @@ def test_history_ids_sequential_and_specs_valid(tmp_path):
 
 def test_children_track_parents(tmp_path):
     cfg = tiny_search_config()
-    records = search(cfg, node_fraction_fitness, out_dir=tmp_path, clock=ZERO_CLOCK)
+    records = search(cfg, node_fraction_fitness, out_dir=tmp_path)
     seeds = [r for r in records if r.iteration == 0]
     children = [r for r in records if r.iteration > 0]
     assert all(r.parent_id is None for r in seeds)
@@ -322,14 +320,14 @@ def test_children_track_parents(tmp_path):
 
 def test_guided_and_vanilla_diverge(tmp_path):
     cfg = tiny_search_config(max_iterations=5)
-    a = search(cfg, node_fraction_fitness, clock=ZERO_CLOCK)
-    b = vanilla_ea(cfg, node_fraction_fitness, clock=ZERO_CLOCK)
+    a = search(cfg, node_fraction_fitness)
+    b = vanilla_ea(cfg, node_fraction_fitness)
     assert [r.spec for r in a] != [r.spec for r in b]
 
 
 def test_random_search_budget_and_parents():
     cfg = tiny_search_config(max_iterations=4)
-    records = random_search(cfg, node_fraction_fitness, clock=ZERO_CLOCK)
+    records = random_search(cfg, node_fraction_fitness)
     budget = cfg.population_size + cfg.max_iterations * cfg.k * cfg.children_per_parent
     assert len(records) == budget
     assert all(r.parent_id is None for r in records)
@@ -343,7 +341,7 @@ def test_max_evaluations_caps_all_algorithms(tmp_path):
     cfg = tiny_search_config(max_iterations=50, max_evaluations=17)
     for algo in STRATEGIES:
         out = tmp_path / algo.__name__
-        records = algo(cfg, node_fraction_fitness, out_dir=out, clock=ZERO_CLOCK)
+        records = algo(cfg, node_fraction_fitness, out_dir=out)
         assert len(records) == 17, algo.__name__
         checkpoint = json.loads((out / "checkpoint.json").read_text())
         assert checkpoint["next_id"] == checkpoint["evaluations"] == 17, algo.__name__
@@ -357,7 +355,7 @@ def test_evaluator_receiving_candidate_id():
         return node_fraction_fitness(spec)
 
     cfg = tiny_search_config(max_iterations=1)
-    records = search(cfg, fitness, clock=ZERO_CLOCK)
+    records = search(cfg, fitness)
     assert seen == [r.id for r in records]
 
 
@@ -371,7 +369,7 @@ def test_defaulted_second_parameter_receives_the_candidate_id():
         return node_fraction_fitness(spec)
 
     cfg = tiny_search_config(max_iterations=1)
-    records = search(cfg, fitness, clock=ZERO_CLOCK)
+    records = search(cfg, fitness)
     assert seen == [r.id for r in records] == list(range(len(records)))
 
 
@@ -380,7 +378,7 @@ def test_eval_result_payload_accepted():
         return EvalResult(score=node_fraction_fitness(spec), payload={"x": 1})
 
     cfg = tiny_search_config(max_iterations=1)
-    records = search(cfg, fitness, clock=ZERO_CLOCK)
+    records = search(cfg, fitness)
     assert all(0 <= r.score <= 1 for r in records)
 
 
@@ -394,7 +392,7 @@ def test_failing_candidates_are_discarded(tmp_path):
         return node_fraction_fitness(spec)
 
     cfg = tiny_search_config()
-    records = search(cfg, flaky, out_dir=tmp_path, clock=ZERO_CLOCK)
+    records = search(cfg, flaky, out_dir=tmp_path)
     logged = {r.id for r in records}
     assert all(i % 3 != 1 for i in logged)
     assert set(calls) - logged == {i for i in calls if i % 3 == 1}
@@ -412,7 +410,7 @@ def bad_score_fitness(spec, candidate_id):
 def test_invalid_scores_are_discarded(jobs, tmp_path, caplog):
     cfg = tiny_search_config(max_iterations=2, jobs=jobs)
     with caplog.at_level(logging.WARNING, logger="opnas.evolution"):
-        records = search(cfg, bad_score_fitness, out_dir=tmp_path, clock=ZERO_CLOCK)
+        records = search(cfg, bad_score_fitness, out_dir=tmp_path)
     assert max(r.iteration for r in records) == 2
     assert not {r.id for r in records} & set(BAD_SCORES)
     assert read_history(tmp_path / "history.jsonl") == records
@@ -435,7 +433,7 @@ def dying_fitness(spec, candidate_id):
 def test_dead_worker_discards_its_candidates(tmp_path, caplog):
     cfg = tiny_search_config(max_iterations=2, jobs=2)
     with caplog.at_level(logging.WARNING, logger="opnas.evolution"):
-        records = search(cfg, dying_fitness, out_dir=tmp_path, clock=ZERO_CLOCK)
+        records = search(cfg, dying_fitness, out_dir=tmp_path)
     died = {int(m.split()[1]) for m in caplog.messages
             if m.startswith("candidate") and "worker died" in m}
     # the dead worker's candidate, and any other the broken pool left
@@ -462,7 +460,7 @@ def test_iteration_end_hook_sees_scored_candidates():
 
     ev = Ev()
     cfg = tiny_search_config(max_iterations=3)
-    search(cfg, ev, clock=ZERO_CLOCK)
+    search(cfg, ev)
     assert ev.iterations == [0, 1, 2, 3]
 
 
@@ -489,8 +487,7 @@ def test_hook_is_handed_the_batch_best_only():
     handed = {}
     for jobs in (1, 2):
         ev = BestRecorder()
-        records = search(tiny_search_config(max_iterations=3, jobs=jobs), ev,
-                         clock=ZERO_CLOCK)
+        records = search(tiny_search_config(max_iterations=3, jobs=jobs), ev)
         assert [i for i, _ in ev.handed] == [0, 1, 2, 3]
         for iteration, best in ev.handed:
             batch = [r for r in records if r.iteration == iteration]
@@ -530,7 +527,7 @@ def test_a_batch_holds_at_most_one_payload():
             self.batch_start = True
 
     ev = Ev()
-    search(tiny_search_config(max_iterations=3), ev, clock=ZERO_CLOCK)
+    search(tiny_search_config(max_iterations=3), ev)
     # the running best is the only earlier payload alive at a call, so at
     # most two are alive after it returns; none outlives its iteration
     assert all(alive <= (0 if start else 1) for start, alive in ev.alive_at_call)
@@ -539,7 +536,7 @@ def test_a_batch_holds_at_most_one_payload():
 
 def test_patience_stops_stale_runs():
     cfg = tiny_search_config(max_iterations=40, patience=4)
-    records = search(cfg, lambda spec, candidate_id: 0.5, clock=ZERO_CLOCK)
+    records = search(cfg, lambda spec, candidate_id: 0.5)
     # iteration 0 seeds the best score; 4 stale iterations follow
     assert max(r.iteration for r in records) <= 5
 
@@ -549,12 +546,40 @@ def test_parallel_jobs_match_serial(tmp_path):
     cfg_par = tiny_search_config(max_iterations=2, jobs=2)
     for algo in STRATEGIES:
         serial, par = tmp_path / algo.__name__ / "s", tmp_path / algo.__name__ / "p"
-        a = algo(cfg_serial, node_fraction_fitness, out_dir=serial, clock=ZERO_CLOCK)
-        b = algo(cfg_par, node_fraction_fitness, out_dir=par, clock=ZERO_CLOCK)
+        a = algo(cfg_serial, node_fraction_fitness, out_dir=serial)
+        b = algo(cfg_par, node_fraction_fitness, out_dir=par)
         for name in ("history.jsonl", "checkpoint.json"):
             assert (serial / name).read_bytes() == (par / name).read_bytes(), \
                 (algo.__name__, name)
         assert [r.id for r in a] == [r.id for r in b], algo.__name__
+
+
+def test_the_default_clock_fixes_the_history_bytes(tmp_path):
+    cfg = tiny_search_config(max_iterations=2)
+    a = search(cfg, node_fraction_fitness, out_dir=tmp_path / "a")
+    search(cfg, node_fraction_fitness, out_dir=tmp_path / "b")
+    assert (tmp_path / "a" / "history.jsonl").read_bytes() == \
+        (tmp_path / "b" / "history.jsonl").read_bytes()
+    assert a and all(r.wall_ms == 0.0 for r in a)
+
+
+class CountingClock:
+    """A clock whose calls return 1.0, 2.0, ...; module level for the pool."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        self.now += 1.0
+        return self.now
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_the_run_clock_times_each_call_where_it_runs(jobs):
+    # two reads per call, one second apart, in the worker too at jobs=2
+    cfg = tiny_search_config(max_iterations=2, jobs=jobs)
+    records = search(cfg, node_fraction_fitness, clock=CountingClock())
+    assert records and all(r.wall_ms == 1000.0 for r in records)
 
 
 class PickleCounter:
@@ -575,7 +600,7 @@ def test_the_pool_gets_the_evaluator_once_per_worker():
     rng = random.Random(0)
     batch = [Candidate(i, evolution._random_backbone(rng, 2, 6)) for i in range(4)]
     ev = PickleCounter()
-    records, _ = evolution._evaluate_batch(batch, ev, 2, ZERO_CLOCK, iteration=0)
+    records, _ = evolution._evaluate_batch(batch, ev, 2, evolution._zero_clock, iteration=0)
     assert [(r.id, r.score) for r in records] == \
         [(c.id, node_fraction_fitness(c.spec)) for c in batch]
     # once per worker at most, never with a submit
@@ -591,7 +616,7 @@ def test_a_result_that_cannot_come_back_is_a_logged_discard(caplog):
     cfg = tiny_search_config(population_size=4, max_iterations=3, jobs=2)
     with caplog.at_level(logging.WARNING, logger="opnas.evolution"):
         with pytest.raises(EvaluationFailed, match="3 batches in a row"):
-            search(cfg, unpicklable_payload_fitness, clock=ZERO_CLOCK)
+            search(cfg, unpicklable_payload_fitness)
     # three seed batches of 4, every one discarded with the pickling error
     discarded = [m for m in caplog.messages if "discarded" in m]
     assert len(discarded) == 12
@@ -621,7 +646,7 @@ def test_pool_workers_run_one_blas_thread():
     set_threads(2)  # what a worker would inherit on a 2-core host
     try:
         records = search(tiny_search_config(max_iterations=1, jobs=2),
-                         blas_thread_fitness, clock=ZERO_CLOCK)
+                         blas_thread_fitness)
         parent = get()
     finally:
         set_threads(before)
@@ -656,10 +681,10 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
     cfg = SearchConfig(max_iterations=5, **RESUME_BASE)
     for algo in STRATEGIES:
         gold, cut = tmp_path / algo.__name__ / "gold", tmp_path / algo.__name__ / "cut"
-        algo(cfg, node_fraction_fitness, out_dir=gold, clock=ZERO_CLOCK)
+        algo(cfg, node_fraction_fitness, out_dir=gold)
         with pytest.raises(Crash):
-            algo(cfg, crash_at(CRASH_ID), out_dir=cut, clock=ZERO_CLOCK)
-        algo(cfg, node_fraction_fitness, out_dir=cut, resume=True, clock=ZERO_CLOCK)
+            algo(cfg, crash_at(CRASH_ID), out_dir=cut)
+        algo(cfg, node_fraction_fitness, out_dir=cut, resume=True)
         for name in ("history.jsonl", "checkpoint.json"):
             assert (gold / name).read_bytes() == (cut / name).read_bytes(), \
                 (algo.__name__, name)
@@ -669,8 +694,8 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
     for algo in STRATEGIES:
         short = tmp_path / algo.__name__ / "short"
         algo(SearchConfig(max_iterations=2, **RESUME_BASE), node_fraction_fitness,
-             out_dir=short, clock=ZERO_CLOCK)
-        algo(cfg, node_fraction_fitness, out_dir=short, resume=True, clock=ZERO_CLOCK)
+             out_dir=short)
+        algo(cfg, node_fraction_fitness, out_dir=short, resume=True)
         for name in ("history.jsonl", "checkpoint.json"):
             assert (tmp_path / algo.__name__ / "gold" / name).read_bytes() == \
                 (short / name).read_bytes(), (algo.__name__, name)
@@ -680,9 +705,9 @@ def test_resume_truncates_partial_iteration(tmp_path):
     cfg = SearchConfig(max_iterations=5, **RESUME_BASE)
     for algo in STRATEGIES:
         gold, cut = tmp_path / algo.__name__ / "gold", tmp_path / algo.__name__ / "cut"
-        algo(cfg, node_fraction_fitness, out_dir=gold, clock=ZERO_CLOCK)
+        algo(cfg, node_fraction_fitness, out_dir=gold)
         with pytest.raises(Crash):
-            algo(cfg, crash_at(CRASH_ID), out_dir=cut, clock=ZERO_CLOCK)
+            algo(cfg, crash_at(CRASH_ID), out_dir=cut)
 
         # simulate a crash mid-iteration: extra rows after the checkpoint
         hist = cut / "history.jsonl"
@@ -692,44 +717,42 @@ def test_resume_truncates_partial_iteration(tmp_path):
         with open(hist, "a") as fh:
             fh.write(json.dumps(last) + "\n")
 
-        algo(cfg, node_fraction_fitness, out_dir=cut, resume=True, clock=ZERO_CLOCK)
+        algo(cfg, node_fraction_fitness, out_dir=cut, resume=True)
         assert (gold / "history.jsonl").read_bytes() == hist.read_bytes(), algo.__name__
 
 
 @pytest.mark.parametrize("algo", STRATEGIES, ids=lambda a: a.__name__)
 def test_a_fresh_run_replaces_an_earlier_one(algo, tmp_path):
     cfg = tiny_search_config(max_iterations=1)
-    algo(cfg, node_fraction_fitness, out_dir=tmp_path / "once", clock=ZERO_CLOCK)
+    algo(cfg, node_fraction_fitness, out_dir=tmp_path / "once")
     for _ in range(2):
-        algo(cfg, node_fraction_fitness, out_dir=tmp_path / "twice", clock=ZERO_CLOCK)
+        algo(cfg, node_fraction_fitness, out_dir=tmp_path / "twice")
     for name in ("history.jsonl", "checkpoint.json"):
         assert (tmp_path / "once" / name).read_bytes() == \
             (tmp_path / "twice" / name).read_bytes(), name
     # a fresh run killed in its first batch leaves no earlier run's files
     with pytest.raises(Crash):
-        algo(cfg, crash_at(0), out_dir=tmp_path / "twice", clock=ZERO_CLOCK)
+        algo(cfg, crash_at(0), out_dir=tmp_path / "twice")
     assert not any((tmp_path / "twice").iterdir())
 
 
 def test_resume_requires_checkpoint(tmp_path):
     cfg = tiny_search_config()
     with pytest.raises(CheckpointError):
-        search(cfg, node_fraction_fitness, out_dir=tmp_path / "empty", resume=True,
-               clock=ZERO_CLOCK)
+        search(cfg, node_fraction_fitness, out_dir=tmp_path / "empty", resume=True)
 
 
 def test_resume_rejects_changed_config(tmp_path):
     cfg = tiny_search_config(max_iterations=2)
-    search(cfg, node_fraction_fitness, out_dir=tmp_path, clock=ZERO_CLOCK)
+    search(cfg, node_fraction_fitness, out_dir=tmp_path)
     changed = tiny_search_config(max_iterations=4, seed=99)
     with pytest.raises(CheckpointError):
-        search(changed, node_fraction_fitness, out_dir=tmp_path, resume=True,
-               clock=ZERO_CLOCK)
+        search(changed, node_fraction_fitness, out_dir=tmp_path, resume=True)
 
 
 def test_checkpoint_written_every_iteration(tmp_path):
     cfg = tiny_search_config(max_iterations=2)
-    search(cfg, node_fraction_fitness, out_dir=tmp_path, clock=ZERO_CLOCK)
+    search(cfg, node_fraction_fitness, out_dir=tmp_path)
     payload = json.loads((tmp_path / "checkpoint.json").read_text())
     assert payload["iteration"] == 2
     assert payload["next_id"] == payload["evaluations"] == \
@@ -746,16 +769,16 @@ def test_resume_replays_patience(algo, tmp_path):
     # run cut after the best stopped improving still stops where it would
     cfg = SearchConfig(max_iterations=40, patience=2, **RESUME_BASE)
     gold = tmp_path / "gold"
-    records = algo(cfg, node_fraction_fitness, out_dir=gold, clock=ZERO_CLOCK)
+    records = algo(cfg, node_fraction_fitness, out_dir=gold)
     last = max(r.iteration for r in records)
     assert last < cfg.max_iterations  # patience bound
     # cut inside the final iteration, when the checkpoint's stale count is 1
     crash_id = next(r.id for r in records if r.iteration == last) + 1
     cut = tmp_path / "cut"
     with pytest.raises(Crash):
-        algo(cfg, crash_at(crash_id), out_dir=cut, clock=ZERO_CLOCK)
+        algo(cfg, crash_at(crash_id), out_dir=cut)
     assert json.loads((cut / "checkpoint.json").read_text())["iteration"] == last - 1
-    algo(cfg, node_fraction_fitness, out_dir=cut, resume=True, clock=ZERO_CLOCK)
+    algo(cfg, node_fraction_fitness, out_dir=cut, resume=True)
     for name in ("history.jsonl", "checkpoint.json"):
         assert (gold / name).read_bytes() == (cut / name).read_bytes(), name
 
@@ -764,9 +787,9 @@ def test_resume_replays_patience(algo, tmp_path):
 def test_resume_drops_a_torn_last_history_line(algo, tmp_path):
     cfg = SearchConfig(max_iterations=5, **RESUME_BASE)
     gold, cut = tmp_path / "gold", tmp_path / "cut"
-    algo(cfg, node_fraction_fitness, out_dir=gold, clock=ZERO_CLOCK)
+    algo(cfg, node_fraction_fitness, out_dir=gold)
     with pytest.raises(Crash):
-        algo(cfg, crash_at(CRASH_ID), out_dir=cut, clock=ZERO_CLOCK)
+        algo(cfg, crash_at(CRASH_ID), out_dir=cut)
     # a crash while commit appends the rows: one of the next iteration written,
     # the second cut inside its line, and no checkpoint after them
     hist = cut / "history.jsonl"
@@ -774,28 +797,67 @@ def test_resume_drops_a_torn_last_history_line(algo, tmp_path):
     rows = (gold / "history.jsonl").read_text().splitlines(keepends=True)
     with open(hist, "a") as fh:
         fh.write(rows[committed] + rows[committed + 1][:40])
-    algo(cfg, node_fraction_fitness, out_dir=cut, resume=True, clock=ZERO_CLOCK)
+    algo(cfg, node_fraction_fitness, out_dir=cut, resume=True)
     for name in ("history.jsonl", "checkpoint.json"):
         assert (gold / name).read_bytes() == (cut / name).read_bytes(), name
 
 
 def test_resume_refuses_an_unparsable_inner_history_line(tmp_path):
     search(tiny_search_config(max_iterations=1), node_fraction_fitness,
-           out_dir=tmp_path, clock=ZERO_CLOCK)
+           out_dir=tmp_path)
     hist = tmp_path / "history.jsonl"
     lines = hist.read_text().splitlines(keepends=True)
     lines[2] = lines[2][:40] + "\n"
     hist.write_text("".join(lines))
     with pytest.raises(CheckpointError, match="line 3"):
         search(tiny_search_config(max_iterations=2), node_fraction_fitness,
-               out_dir=tmp_path, resume=True, clock=ZERO_CLOCK)
+               out_dir=tmp_path, resume=True)
+    assert hist.read_text() == "".join(lines)
+
+
+def damage_row(row: str, how: str) -> str:
+    """A committed history line the program never writes."""
+    if how == "blank":
+        return "\n" + row
+    if how == "unterminated":
+        return row.rstrip("\n")
+    d = json.loads(row)
+    if how == "score-above-one":
+        d["score"] = 5.0
+    else:
+        d["iteration"] = {"negative-iteration": -1, "uncommitted-iteration": 2}[how]
+    return json.dumps(d) + "\n"
+
+
+# each damage: the line it hits and the refusal after the path and line
+DAMAGED_ROWS = {
+    "blank": (4, "blank line"),
+    "unterminated": (10, "unterminated line"),  # the last committed row
+    "score-above-one": (4, r"score must be in \[0, 1\], got 5.0"),
+    "negative-iteration": (4, r"iteration -1 is outside 0..1"),
+    "uncommitted-iteration": (4, r"iteration 2 is outside 0..1"),
+}
+
+
+@pytest.mark.parametrize("how", DAMAGED_ROWS)
+def test_resume_refuses_a_committed_row_it_could_not_have_written(how, tmp_path):
+    search(tiny_search_config(max_iterations=1), node_fraction_fitness,
+           out_dir=tmp_path)
+    hist = tmp_path / "history.jsonl"
+    lines = hist.read_text().splitlines(keepends=True)
+    n, refusal = DAMAGED_ROWS[how]
+    lines[n - 1] = damage_row(lines[n - 1], how)
+    hist.write_text("".join(lines))
+    with pytest.raises(CheckpointError, match=rf"history.jsonl line {n}: {refusal}$"):
+        search(tiny_search_config(max_iterations=2), node_fraction_fitness,
+               out_dir=tmp_path, resume=True)
     assert hist.read_text() == "".join(lines)
 
 
 @pytest.mark.parametrize("algo", STRATEGIES, ids=lambda a: a.__name__)
 def test_resume_refuses_a_missing_committed_row(algo, tmp_path):
     algo(tiny_search_config(max_iterations=1), node_fraction_fitness,
-         out_dir=tmp_path, clock=ZERO_CLOCK)
+         out_dir=tmp_path)
     hist = tmp_path / "history.jsonl"
     lines = hist.read_text().splitlines(keepends=True)
     del lines[1]
@@ -803,7 +865,7 @@ def test_resume_refuses_a_missing_committed_row(algo, tmp_path):
     with pytest.raises(CheckpointError,
                        match=f"holds {len(lines)} evaluations .* counts {len(lines) + 1}"):
         algo(tiny_search_config(max_iterations=2), node_fraction_fitness,
-             out_dir=tmp_path, resume=True, clock=ZERO_CLOCK)
+             out_dir=tmp_path, resume=True)
 
 
 def break_checkpoint(payload, how):
@@ -829,22 +891,20 @@ MALFORMED = ("array", "no-next-id", "string-iteration", "bool-evaluations",
 @pytest.mark.parametrize("how", MALFORMED)
 def test_resume_refuses_a_malformed_checkpoint(how, tmp_path):
     cfg = tiny_search_config(max_iterations=1)
-    search(cfg, node_fraction_fitness, out_dir=tmp_path, clock=ZERO_CLOCK)
+    search(cfg, node_fraction_fitness, out_dir=tmp_path)
     path = tmp_path / "checkpoint.json"
     path.write_text(json.dumps(break_checkpoint(json.loads(path.read_text()), how)))
     with pytest.raises(CheckpointError, match="^malformed checkpoint: "):
-        search(cfg, node_fraction_fitness, out_dir=tmp_path, resume=True,
-               clock=ZERO_CLOCK)
+        search(cfg, node_fraction_fitness, out_dir=tmp_path, resume=True)
 
 
 def test_resume_refuses_a_version_1_checkpoint(tmp_path):
     cfg = tiny_search_config(max_iterations=1)
-    search(cfg, node_fraction_fitness, out_dir=tmp_path, clock=ZERO_CLOCK)
+    search(cfg, node_fraction_fitness, out_dir=tmp_path)
     path = tmp_path / "checkpoint.json"
     path.write_text(json.dumps({**json.loads(path.read_text()), "version": 1}))
     with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
-        search(cfg, node_fraction_fitness, out_dir=tmp_path, resume=True,
-               clock=ZERO_CLOCK)
+        search(cfg, node_fraction_fitness, out_dir=tmp_path, resume=True)
 
 
 # ---------------------------------------------------------------------------
@@ -861,7 +921,7 @@ def test_three_empty_batches_raise(algo, tmp_path):
 
     cfg = tiny_search_config()
     with pytest.raises(EvaluationFailed, match="3 batches in a row"):
-        algo(cfg, fails, out_dir=tmp_path, clock=ZERO_CLOCK)
+        algo(cfg, fails, out_dir=tmp_path)
     # with the population empty every strategy proposes random batches;
     # the first two were finished as empty iterations
     assert calls == list(range(3 * cfg.population_size))
@@ -878,7 +938,7 @@ def test_failure_streak_carries_across_resume(algo, tmp_path):
     pop = cfg.population_size
     # two batches score nothing, then the run is killed inside the third
     with pytest.raises(Crash):
-        algo(cfg, crash_at(2 * pop, always_fails), out_dir=tmp_path, clock=ZERO_CLOCK)
+        algo(cfg, crash_at(2 * pop, always_fails), out_dir=tmp_path)
     calls = []
 
     def fails(spec, candidate_id):
@@ -886,7 +946,7 @@ def test_failure_streak_carries_across_resume(algo, tmp_path):
         raise RuntimeError("synthetic failure")
 
     with pytest.raises(EvaluationFailed):
-        algo(cfg, fails, out_dir=tmp_path, resume=True, clock=ZERO_CLOCK)
+        algo(cfg, fails, out_dir=tmp_path, resume=True)
     # the streak is read from the history: the replayed third batch ends it
     assert calls == list(range(2 * pop, 3 * pop))
 
@@ -902,7 +962,7 @@ def test_scored_batch_resets_the_failure_streak():
         return node_fraction_fitness(spec)
 
     with pytest.raises(EvaluationFailed, match=r"iterations 3-5"):
-        random_search(cfg, fitness, clock=ZERO_CLOCK)
+        random_search(cfg, fitness)
 
 
 @pytest.mark.parametrize("algo", (search, vanilla_ea), ids=lambda a: a.__name__)
@@ -915,7 +975,7 @@ def test_evolved_search_reseeds_after_failed_seed_batch(algo, tmp_path):
             raise RuntimeError("synthetic failure")
         return node_fraction_fitness(spec)
 
-    records = algo(cfg, seeds_fail, out_dir=tmp_path, clock=ZERO_CLOCK)
+    records = algo(cfg, seeds_fail, out_dir=tmp_path)
     reseed = [r for r in records if r.iteration == 1]
     assert [r.id for r in reseed] == list(range(pop, 2 * pop))
     assert all(r.parent_id is None for r in reseed)
@@ -961,6 +1021,8 @@ BAD_ROWS = {
     "bool-iteration": ({**GOOD_ROW, "iteration": True}, "iteration"),
     "string-parent": ({**GOOD_ROW, "parent_id": "1"}, "parent_id"),
     "string-score": ({**GOOD_ROW, "score": "0.5"}, "score"),
+    "score-above-one": ({**GOOD_ROW, "score": 5.0}, "score"),
+    "nan-score": ({**GOOD_ROW, "score": math.nan}, "score"),
     "null-wall-ms": ({**GOOD_ROW, "wall_ms": None}, "wall_ms"),
 }
 

@@ -397,7 +397,7 @@ def test_evaluator_writes_best_only(config, corpus):
     ev = Marked(sn, corpus, steps=2, optim=OptimConfig(batch_size=4, warmup=2), seed=0)
     cfg = SearchConfig(population_size=4, k=2, max_iterations=0, seed=0,
                        num_layers=config.num_layers)
-    search(cfg, ev, clock=lambda: 0.0)
+    search(cfg, ev)
     assert np.all(sn.store["tok_emb"] == 1.0)
     assert sn.versions == [1] * config.num_layers
     # no second ranking rule: a hook given two pairs refuses them
@@ -448,7 +448,7 @@ def _tiny_biws_search(out: Path, jobs: int = 1, max_iterations: int = 3,
     cfg = SearchConfig(population_size=4, k=2, children_per_parent=1,
                        max_iterations=max_iterations, seed=0, num_layers=2,
                        jobs=jobs)
-    search(cfg, ev, out_dir=out, resume=resume, clock=lambda: 0.0)
+    search(cfg, ev, out_dir=out, resume=resume)
 
 
 RUN_FILES = ("history.jsonl", "checkpoint.json", "sn.npz")
