@@ -12,9 +12,9 @@ and which a search refused with exit 3 leaves as it was. Outputs go to
 --out-dir (env OPNAS_OUT_DIR, default ./opnas-out); input files are never
 modified.
 
-Exit codes: 0 ok, 2 config error, 3 checkpoint error, 4 spec error,
-5 data error (also a search whose three batches in a row scored nothing,
-and an eval or metrics run whose model diverges or turns non-finite).
+Exit codes: 0 ok, 2 config error, 3 checkpoint error (``plot-data``'s too),
+4 spec error, 5 data error (also a search whose three batches in a row scored
+nothing, and an eval or metrics run whose model diverges or turns non-finite).
 
 Every command that trains goes through one evaluator,
 ``opnas.supernet.BiwsEvaluator``, seeded by (seed, candidate id): ``search``
@@ -346,6 +346,8 @@ def cmd_plot_data(args) -> int:
     path = Path(args.history)
     try:
         records = read_history(path)
+    except CheckpointError as e:
+        raise CliError(EXIT_CHECKPOINT, f"cannot read checkpoint beside {path}: {e}") from None
     except (OSError, ValueError) as e:
         raise CliError(EXIT_DATA, f"cannot read history {path}: {e}") from None
     tag = path.resolve().parent.name

@@ -26,8 +26,8 @@ replays the history's committed iterations through the loop's own
 per-iteration fold, which rebuilds the population, statistics, best score
 and patience counter, then replays the interrupted iteration from the
 checkpointed rng state, so its history file is byte-identical to an
-uninterrupted run. The first ``evaluations`` rows are the committed ones
-(each must parse, in iterations 0..iteration); later rows are cut off.
+uninterrupted run. A resume and ``read_history`` take the committed rows by
+one rule, ``_read_run``'s, and a resume cuts off the rest.
 ``clock=`` times each evaluator call into wall_ms; the default clock reads
 0.0, so a fixed seed repeats the history byte for byte.
 
@@ -54,6 +54,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
+from itertools import groupby
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -111,7 +112,6 @@ _CHECKPOINT_FIELDS = {"config": dict, "iteration": int, "next_id": int,
 class Candidate:
     id: int
     spec: BackboneSpec
-    score: float | None = None
     parent_id: int | None = None
 
 
@@ -236,12 +236,10 @@ class UcbStats:
         self.kernel_counts: dict[int, dict[int, int]] = {}
 
 
-def record_result(stats: UcbStats, candidate: Candidate | EvalRecord,
-                  score: float) -> UcbStats:
-    """Fold one evaluated candidate into the statistics (in place); only
-    its spec is read."""
-    _check_score(score)
-    for li, layer in enumerate(candidate.spec.layers):
+def record_result(stats: UcbStats, record: EvalRecord) -> UcbStats:
+    """Fold one record's spec and score into the statistics (in place)."""
+    score = _check_score(record.score)
+    for li, layer in enumerate(record.spec.layers):
         if layer.kind == "conv":
             counts = stats.kernel_counts.setdefault(li, {})
             counts[layer.kernel] = counts.get(layer.kernel, 0) + 1
@@ -370,7 +368,7 @@ class _Run:
         """Fold one completed iteration's records, in id order; a resume
         replays the history through it (``_top`` is a strict order)."""
         for rec in records:
-            record_result(self.stats, rec, rec.score)
+            record_result(self.stats, rec)
         self.evaluations += len(records)
         self.population = _top(self.population + list(records),
                                self.config.population_size)
@@ -418,24 +416,15 @@ class _Run:
             (self.dir / CHECKPOINT_FILE).unlink(missing_ok=True)
 
     def resume(self) -> None:
-        """Check the checkpoint against the config and restore its rng and
-        next id, check the first ``evaluations`` history rows, cut off the
-        uncommitted rows after them, and replay them through ``advance``."""
+        """Restore the run from its checkpoint and committed rows; cut the rest."""
         path = self.dir / CHECKPOINT_FILE if self.dir is not None else None
         if path is None or not path.exists():
             raise CheckpointError(f"no checkpoint at {path}")
+        history_path = self.dir / HISTORY_FILE
         try:
-            d = json.loads(path.read_text())
-        except json.JSONDecodeError as e:
-            raise CheckpointError(f"malformed checkpoint: {e}") from None
-        if not isinstance(d, dict):
-            raise CheckpointError("malformed checkpoint: not a JSON object")
-        if d.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {d.get('version')!r}")
-        for field, kind in _CHECKPOINT_FIELDS.items():
-            if type(d.get(field)) is not kind:  # so a bool is no int
-                raise CheckpointError(f"malformed checkpoint: {field} is missing "
-                                      f"or not {kind.__name__}")
+            d, kept, size = _read_run(history_path)
+        except ValueError as e:
+            raise CheckpointError(str(e)) from None
         for f in SearchConfig._RESUME_FIELDS:
             want = d["config"].get(f)
             have = getattr(self.config, f)
@@ -448,34 +437,12 @@ class _Run:
         except (TypeError, ValueError) as e:
             raise CheckpointError(f"malformed checkpoint: rng_state: {e}") from None
         self.next_id = d["next_id"]
-        iteration, evaluations = d["iteration"], d["evaluations"]
-        history_path = self.dir / HISTORY_FILE
-        rows = (history_path.read_bytes().splitlines(keepends=True)
-                if history_path.exists() else [])
-        if not 0 <= evaluations <= len(rows):
-            raise CheckpointError(f"history holds {len(rows)} evaluations up to iteration "
-                                  f"{iteration}, checkpoint counts {evaluations}")
-        kept: list[EvalRecord] = []
-        for n, row in enumerate(rows[:evaluations], start=1):
-            try:
-                if not row.strip():
-                    raise ValueError("blank line")
-                if not row.endswith(b"\n"):  # the next append would join it
-                    raise ValueError("unterminated line")
-                rec = EvalRecord.from_json_dict(json.loads(row))
-                if not 0 <= rec.iteration <= iteration:
-                    raise ValueError(f"iteration {rec.iteration} is outside 0..{iteration}")
-            except ValueError as e:
-                raise CheckpointError(f"{history_path} line {n}: {e}") from None
-            kept.append(rec)
-        if rows:  # a crash inside ``commit`` can leave rows it never committed
-            os.truncate(history_path, sum(map(len, rows[:evaluations])))
+        if history_path.exists():  # a crash inside ``commit`` may leave uncommitted rows
+            os.truncate(history_path, size)
         self.history = kept
-        by_iteration = {it: [] for it in range(iteration + 1)}  # empty ones too
-        for rec in kept:
-            by_iteration[rec.iteration].append(rec)
-        for it, records in by_iteration.items():
-            self.advance(it, records)
+        groups = {it: list(g) for it, g in groupby(kept, key=lambda r: r.iteration)}
+        for it in range(d["iteration"] + 1):  # empty iterations too
+            self.advance(it, groups.get(it, []))
 
 
 def _evaluate_batch(candidates, evaluator, jobs, clock, iteration):
@@ -669,10 +636,57 @@ def random_search(config: SearchConfig, evaluator, out_dir=None,
                 out_dir, resume, clock)
 
 
+def _read_run(history: Path) -> tuple[dict | None, list[EvalRecord], int]:
+    """The checkpoint beside ``history`` (or None), the committed records and
+    their byte length: the checkpoint's first ``evaluations`` rows (none if
+    the file is missing) or, without one, every row. Each must be non-blank,
+    end in a newline, parse, lie in iterations 0..``iteration``, and follow
+    the row before with a higher id and no lower iteration; else a
+    ValueError reads "<path> line N: <reason>". Writes nothing."""
+    d, path = None, history.parent / CHECKPOINT_FILE
+    if path.exists():
+        try:
+            d = json.loads(path.read_text())
+        except ValueError as e:
+            raise CheckpointError(f"malformed checkpoint: {e}") from None
+        if not isinstance(d, dict):
+            raise CheckpointError("malformed checkpoint: not a JSON object")
+        if d.get("version") != CHECKPOINT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {d.get('version')!r}")
+        for field, kind in _CHECKPOINT_FIELDS.items():
+            if type(d.get(field)) is not kind:  # so a bool is no int
+                raise CheckpointError(f"malformed checkpoint: {field} is missing "
+                                      f"or not {kind.__name__}")
+    rows = (history.read_bytes().splitlines(keepends=True)
+            if d is None or history.exists() else [])
+    count, last = (len(rows), math.inf) if d is None else (d["evaluations"], d["iteration"])
+    if not 0 <= count <= len(rows):
+        raise CheckpointError(f"history holds {len(rows)} evaluations up to iteration "
+                              f"{last}, checkpoint counts {count}")
+    records: list[EvalRecord] = []
+    for n, row in enumerate(rows[:count], start=1):
+        try:
+            if not row.strip():
+                raise ValueError("blank line")
+            if not row.endswith(b"\n"):  # the next append would join it
+                raise ValueError("unterminated line")
+            rec = EvalRecord.from_json_dict(json.loads(row))
+            if not 0 <= rec.iteration <= last:
+                raise ValueError(f"iteration {rec.iteration} is outside 0..{last}")
+            if records and rec.id <= records[-1].id:
+                raise ValueError(f"id {rec.id} follows id {records[-1].id}")
+            if records and rec.iteration < records[-1].iteration:
+                raise ValueError(f"iteration {rec.iteration} follows iteration "
+                                 f"{records[-1].iteration}")
+        except UnicodeDecodeError as e:  # its str ignores args
+            raise ValueError(f"{history} line {n}: {e}") from None
+        except ValueError as e:
+            e.args = (f"{history} line {n}: {e}",)  # a SpecParseError stays one
+            raise
+        records.append(rec)
+    return d, records, sum(map(len, rows[:count]))
+
+
 def read_history(path: str | Path) -> list[EvalRecord]:
-    """Parse a history JSONL file back into records."""
-    records = []
-    for line in Path(path).read_text().splitlines():
-        if line.strip():
-            records.append(EvalRecord.from_json_dict(json.loads(line)))
-    return records
+    """A history file's committed rows as checked records, by ``_read_run``."""
+    return _read_run(Path(path))[1]

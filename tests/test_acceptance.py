@@ -332,7 +332,7 @@ def test_05_ucb_arithmetic(gate):
         dag = S.random_dag(random.Random(cid), max_len=6)
         spec = S.BackboneSpec((S.LayerSpec.attention(dag),))
         score = float(rr.uniform(0, 1))
-        record_result(st, Candidate(cid, spec, score, None), score)
+        record_result(st, EvalRecord(cid, None, spec, score, 0, 0.0))
     sum_err = max(abs(sum(op_distribution(st, pos, 0.3).values()) - 1.0)
                   for pos in st.totals)
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from opnas.cli import main
-from opnas.evolution import EvalRecord, read_history
+from opnas.evolution import EvalRecord, SearchConfig, read_history, search
 from opnas.model import ModelConfig, OptimConfig, synth_corpus
 from opnas.search_space import (
     BackboneSpec,
@@ -728,6 +728,54 @@ def test_plot_data_malformed_is_exit_5(tmp_path, capsys):
 def test_plot_data_missing_file_is_exit_5(tmp_path):
     assert run("plot-data", tmp_path / "absent.jsonl",
                "--out-dir", tmp_path / "p") == 5
+
+
+def half_score(spec, candidate_id):
+    return 0.5 if candidate_id % 2 else 0.25
+
+
+def test_plot_data_reads_the_rows_a_resume_keeps(tmp_path, capsys):
+    # a run killed inside its history append: one whole row and one torn row
+    # of an iteration its checkpoint never counted
+    out = tmp_path / "run"
+    search(SearchConfig(population_size=4, k=2, max_iterations=1, children_per_parent=1,
+                        num_layers=2, seed=3), half_score, out_dir=out)
+    hist = out / "history.jsonl"
+    committed = hist.read_text()
+    last = json.loads(committed.splitlines()[-1])
+    extra = [json.dumps({**last, "id": i, "iteration": 2}) + "\n" for i in (6, 7)]
+    hist.write_text(committed + extra[0] + extra[1][:40])
+    crashed = hist.read_bytes()
+    assert run("plot-data", hist, "--out-dir", tmp_path / "p") == 0
+    plot = capsys.readouterr().out.splitlines()
+    assert len(plot) == 1 + len(committed.splitlines())
+    assert hist.read_bytes() == crashed
+    # a resume keeps the same rows
+    tiny = {**TINY_CFG, "search": {**TINY_CFG["search"], "population_size": 4, "k": 2,
+                                   "max_iterations": 1, "children_per_parent": 1}}
+    (tmp_path / "tiny.json").write_text(json.dumps(tiny))
+    assert run("search", "--config", tmp_path / "tiny.json", "--out-dir", out,
+               "--resume") == 0
+    assert hist.read_text() == committed
+    # without a checkpoint beside it every row counts, the uncommitted one too
+    bare = tmp_path / "bare" / "run" / "history.jsonl"
+    bare.parent.mkdir(parents=True)
+    bare.write_text(committed + extra[0])
+    capsys.readouterr()
+    assert run("plot-data", bare, "--out-dir", tmp_path / "p") == 0
+    assert capsys.readouterr().out.splitlines()[:len(plot)] == plot
+    assert len(read_history(bare)) == len(plot)
+
+
+@pytest.mark.parametrize("checkpoint", ["{not json", "[]", '{"version": 1}'])
+def test_plot_data_beside_a_malformed_checkpoint_is_exit_3(checkpoint, tmp_path, capsys):
+    hist = tmp_path / "history.jsonl"
+    hist.write_text(json.dumps(GOOD_ROW) + "\n")
+    (tmp_path / "checkpoint.json").write_text(checkpoint)
+    assert run("plot-data", hist, "--out-dir", tmp_path / "p") == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot read checkpoint beside "), err
+    assert not (tmp_path / "p" / "plot.csv").exists()
 
 
 # ---------------------------------------------------------------------------

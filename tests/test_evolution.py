@@ -6,6 +6,7 @@ import logging
 import math
 import os
 import random
+import re
 import threading
 import weakref
 from pathlib import Path
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 import oracles
 from opnas import evolution
 from opnas import search_space as S
+from opnas.cli import main
 from opnas.evolution import (
     Candidate,
     CheckpointError,
@@ -63,7 +65,7 @@ def stats_from(pairs):
     """pairs: (spec, score) applied through the public recording API."""
     stats = UcbStats()
     for i, (spec, score) in enumerate(pairs):
-        record_result(stats, Candidate(i, spec, score), score)
+        record_result(stats, EvalRecord(i, None, spec, score, 0, 0.0))
     return stats
 
 
@@ -214,9 +216,9 @@ def test_kernel_distribution_uniform_then_empirical():
 
     conv_spec = S.BackboneSpec((S.LayerSpec.conv(9),))
     for i in range(3):
-        record_result(stats, Candidate(i, conv_spec, 0.5), 0.5)
-    record_result(stats, Candidate(3, S.BackboneSpec((S.LayerSpec.conv(65),)), 0.5),
-                  0.5)
+        record_result(stats, EvalRecord(i, None, conv_spec, 0.5, 0, 0.0))
+    record_result(stats, EvalRecord(3, None, S.BackboneSpec((S.LayerSpec.conv(65),)),
+                                    0.5, 0, 0.0))
     dist = kernel_distribution(stats, 0)
     assert dist[9] == pytest.approx(0.75)
     assert dist[65] == pytest.approx(0.25)
@@ -225,9 +227,11 @@ def test_kernel_distribution_uniform_then_empirical():
 
 def test_record_result_rejects_out_of_range():
     stats = UcbStats()
-    cand = Candidate(0, S.standard_backbone(1), 1.5)
-    with pytest.raises(ValueError):
-        record_result(stats, cand, 1.5)
+    for score in (1.5, -0.1, math.nan):
+        rec = EvalRecord(0, None, S.standard_backbone(1), score, 0, 0.0)
+        with pytest.raises(ValueError, match="score must be in"):
+            record_result(stats, rec)
+    assert stats.totals == {}
 
 
 # ---------------------------------------------------------------------------
@@ -824,6 +828,10 @@ def damage_row(row: str, how: str) -> str:
     d = json.loads(row)
     if how == "score-above-one":
         d["score"] = 5.0
+    elif how == "duplicate-id":  # the id of the row before
+        d["id"] -= 1
+    elif how == "backward-iteration":
+        d["iteration"] -= 1
     else:
         d["iteration"] = {"negative-iteration": -1, "uncommitted-iteration": 2}[how]
     return json.dumps(d) + "\n"
@@ -836,22 +844,45 @@ DAMAGED_ROWS = {
     "score-above-one": (4, r"score must be in \[0, 1\], got 5.0"),
     "negative-iteration": (4, r"iteration -1 is outside 0..1"),
     "uncommitted-iteration": (4, r"iteration 2 is outside 0..1"),
+    "duplicate-id": (4, r"id 2 follows id 2"),
+    "backward-iteration": (8, r"iteration 0 follows iteration 1"),  # rows 7-10 are 1s
+}
+# ``tiny_search_config(max_iterations=2)`` as an ``opnas search`` config
+CLI_RESUME_CONFIG = {
+    "search": {"population_size": 6, "k": 2, "alpha": 0.5, "max_iterations": 2,
+               "children_per_parent": 2, "seed": 0, "max_path_len": 6},
+    "model": {"num_layers": 2, "d_model": 16, "n_heads": 2, "vocab": 32, "seq_len": 16},
+    "corpus": {"size": 32},
+    "trainer": {"steps": 4, "batch_size": 4, "warmup": 2},
 }
 
 
 @pytest.mark.parametrize("how", DAMAGED_ROWS)
-def test_resume_refuses_a_committed_row_it_could_not_have_written(how, tmp_path):
+def test_resume_refuses_a_committed_row_it_could_not_have_written(how, tmp_path, capsys):
+    run_dir = tmp_path / "run"
     search(tiny_search_config(max_iterations=1), node_fraction_fitness,
-           out_dir=tmp_path)
-    hist = tmp_path / "history.jsonl"
+           out_dir=run_dir)
+    hist = run_dir / "history.jsonl"
     lines = hist.read_text().splitlines(keepends=True)
     n, refusal = DAMAGED_ROWS[how]
     lines[n - 1] = damage_row(lines[n - 1], how)
     hist.write_text("".join(lines))
-    with pytest.raises(CheckpointError, match=rf"history.jsonl line {n}: {refusal}$"):
+    verdict = rf"{re.escape(str(hist))} line {n}: {refusal}$"
+    with pytest.raises(CheckpointError, match=verdict):
         search(tiny_search_config(max_iterations=2), node_fraction_fitness,
-               out_dir=tmp_path, resume=True)
+               out_dir=run_dir, resume=True)
+    # one reader: ``opnas search --resume`` and ``opnas plot-data`` refuse
+    # the row in the same words, with a checkpoint and a data error
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CLI_RESUME_CONFIG))
+    for argv, code in ((["search", "--config", config, "--out-dir", run_dir, "--resume"], 3),
+                       (["plot-data", hist, "--out-dir", tmp_path / "plot"], 5)):
+        capsys.readouterr()
+        assert main([str(a) for a in argv]) == code, argv[0]
+        err = capsys.readouterr().err.strip().splitlines()[-1]
+        assert err.startswith("error: ") and re.search(verdict, err), err
     assert hist.read_text() == "".join(lines)
+    assert not (run_dir / "config.json").exists()
 
 
 @pytest.mark.parametrize("algo", STRATEGIES, ids=lambda a: a.__name__)
@@ -1034,3 +1065,7 @@ def test_read_history_rejects_garbage(tmp_path):
         p.write_text(json.dumps(row) + "\n")
         with pytest.raises(ValueError, match=rf"\b{field}\b"):
             read_history(p)
+    # a byte no UTF-8 text holds is refused with its line like any other row
+    p.write_bytes(json.dumps(GOOD_ROW).encode() + b"\n" + b'{"id": "\xff"}\n')
+    with pytest.raises(ValueError, match=r"history.jsonl line 2: 'utf-8' codec"):
+        read_history(p)

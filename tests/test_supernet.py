@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opnas.evolution import Candidate, EvalResult, SearchConfig, search
+from opnas.evolution import EvalRecord, EvalResult, SearchConfig, search
 from opnas.model import ModelConfig, OptimConfig, build_model, mlm_pretrain, synth_corpus
 from opnas.search_space import (
     INPUT_NAMES,
@@ -375,7 +375,7 @@ def test_evaluator_from_scratch_protocol(tiny_config, tiny_corpus, tmp_path):
     trained = ev.train(spec, 3)
     assert all(np.array_equal(p.data, trained.params[name].data)
                for name, p in model.params.items())
-    ev.on_iteration_end(0, [(Candidate(3, spec, s1.score), None)])
+    ev.on_iteration_end(0, [(EvalRecord(3, None, spec, s1.score, 0, 0.0), None)])
     # no store to write back to, so nowhere to save one
     with pytest.raises(ValueError):
         BiwsEvaluator(tiny_config, tiny_corpus, save_path=tmp_path / "sn.npz")
@@ -402,7 +402,7 @@ def test_evaluator_writes_best_only(config, corpus):
     assert sn.versions == [1] * config.num_layers
     # no second ranking rule: a hook given two pairs refuses them
     spec = autobert_zero_backbone(config.num_layers)
-    pair = (Candidate(0, spec, 0.5), dict(sn.store))
+    pair = (EvalRecord(0, None, spec, 0.5, 1, 0.0), dict(sn.store))
     with pytest.raises(ValueError):
         ev.on_iteration_end(1, [pair, pair])
 
