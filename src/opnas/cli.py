@@ -348,8 +348,10 @@ def cmd_plot_data(args) -> int:
         records = read_history(path)
     except CheckpointError as e:
         raise CliError(EXIT_CHECKPOINT, f"cannot read checkpoint beside {path}: {e}") from None
-    except (OSError, ValueError) as e:
-        raise CliError(EXIT_DATA, f"cannot read history {path}: {e}") from None
+    except ValueError as e:  # its text starts with the path
+        raise CliError(EXIT_DATA, f"cannot read history {e}") from None
+    except OSError as e:
+        raise CliError(EXIT_DATA, f"cannot read history {path}: {e.strerror}") from None
     tag = path.resolve().parent.name
     lines = ["algorithm,evaluation,score,best_score"]
     best = float("-inf")

@@ -34,7 +34,8 @@ one rule, ``_read_run``'s, and a resume cuts off the rest.
 Evaluator contract: the loop calls ``evaluator(spec, candidate_id)``, which
 returns a float in [0, 1] or an EvalResult. Exceptions and scores outside
 [0, 1] (NaN included) discard the candidate with a logged reason and the
-loop continues. An evaluator may also expose
+loop continues; so does, at jobs > 1, a payload that does not pickle (at
+jobs=1 nothing checks it). An evaluator may also expose
 ``on_iteration_end(iteration, best)``, called once per completed iteration
 with ``[(record, payload)]``: the EvalRecord of the iteration's best scored
 candidate (score descending, then id ascending) and its EvalResult payload,

@@ -219,21 +219,18 @@ class BackboneSpec:
 # symbolic shape inference
 
 
-def _apply_shape_rule(op: str, shapes: Sequence[Shape]) -> Shape:
-    """Output shape of a known op on operand shapes of its arity, or raise
-    ValueError with the reason."""
+def _shape_rule(op: str, shapes: Sequence[Shape]) -> Shape | None:
+    """Output shape of a known op on operand shapes of its arity, or None
+    where they do not type-check (``infer_shapes`` words why)."""
     if op == "transpose":
-        (s,) = shapes
-        return (s[1], s[0])
+        return (shapes[0][1], shapes[0][0])
     if op in UNARY_OPS:
         return shapes[0]
     a, b = shapes
     if op == "matmul":
-        if a[1] != b[0]:
-            raise ValueError(f"matmul inner symbols differ: {a} x {b}")
-        return (a[0], b[1])
+        return (a[0], b[1]) if a[1] == b[0] else None
     if a != b:
-        raise ValueError(f"{op} needs equal shapes, got {a} and {b}")
+        return None
     # add keeps the shape; cosine / euclidean compare rows pairwise
     return a if op == "add" else (a[0], a[0])
 
@@ -265,10 +262,12 @@ def infer_shapes(dag: AttentionDag) -> list[Shape]:
                 if ref not in env:
                     raise IllegalGraph(i, f"ref {ref!r} is not a declared input")
                 arg_shapes.append(env[ref])
-        try:
-            out = _apply_shape_rule(node.op, arg_shapes)
-        except ValueError as e:
-            raise IllegalGraph(i, str(e)) from None
+        out = _shape_rule(node.op, arg_shapes)
+        if out is None:
+            a, b = arg_shapes
+            raise IllegalGraph(i, f"matmul inner symbols differ: {a} x {b}"
+                               if node.op == "matmul" else
+                               f"{node.op} needs equal shapes, got {a} and {b}")
         table.append(out)
     if not table:
         raise IllegalGraph(0, "empty dag has no output")
@@ -338,15 +337,11 @@ def uniform_kernel_distribution(layer: int) -> dict[int, float]:
 def _legal_arg_tuples(op: str, refs: Sequence[Ref],
                       shapes: Mapping[Ref, Shape]) -> list[tuple[Ref, ...]]:
     """Every argument tuple over ``refs`` that ``op`` type-checks on, the
-    first argument varying slowest."""
-    out = []
-    for args in itertools.product(refs, repeat=1 if op in UNARY_OPS else 2):
-        try:
-            _apply_shape_rule(op, [shapes[r] for r in args])
-        except ValueError:
-            continue
-        out.append(args)
-    return out
+    first argument varying slowest; a unary op takes any ref."""
+    if op in UNARY_OPS:
+        return [(r,) for r in refs]
+    return [(a, b) for a, b in itertools.product(refs, repeat=2)
+            if _shape_rule(op, (shapes[a], shapes[b])) is not None]
 
 
 def _placeable(refs: Sequence[Ref], shapes: Mapping[Ref, Shape]) -> dict:
@@ -398,7 +393,7 @@ def random_dag(rng: random.Random, max_len: int = MAX_PATH_LEN) -> AttentionDag:
                 if legal:  # some op always fits: a unary op takes any ref
                     break
             node = DagNode(op, rng.choice(legal))
-            shapes[i] = _apply_shape_rule(node.op, [shapes[r] for r in node.args])
+            shapes[i] = _shape_rule(node.op, [shapes[r] for r in node.args])
             refs.append(i)
             nodes.append(node)
         dag = AttentionDag(tuple(inputs), tuple(nodes))
@@ -439,7 +434,7 @@ def _mutate_insert(dag, env, dists, rng, max_len):
     table = _placeable(list(dag.inputs) + list(range(pos)), env)
     op = _sample(list(table), dists(pos), rng)
     new_node = DagNode(op, rng.choice(table[op]))
-    new_shape = _apply_shape_rule(op, [env[r] for r in new_node.args])
+    new_shape = _shape_rule(op, [env[r] for r in new_node.args])
     nodes = [_shift_refs(n, pos) if i >= pos else n for i, n in enumerate(dag.nodes)]
     nodes.insert(pos, new_node)
     # rewire one same-shape consumer slot so the new node participates

@@ -247,7 +247,9 @@ class BiwsEvaluator:
     ``save_path`` is set). A ``ModelConfig`` trains each candidate from
     fresh weights; the payload is None and the hook does nothing.
     Either way ``train`` keys all randomness by (seed, candidate id), so
-    scores are reproducible and parallel evaluation matches serial.
+    scores are reproducible and parallel evaluation matches serial while
+    payloads pickle: at ``jobs > 1`` one that does not makes its candidate
+    a logged discard, and at ``jobs=1`` nothing checks it.
     """
 
     def __init__(self, source: Supernet | ModelConfig, corpus: Corpus,

@@ -723,11 +723,15 @@ def test_plot_data_malformed_is_exit_5(tmp_path, capsys):
         assert run("plot-data", bad, "--out-dir", tmp_path / "p") == 5, line
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: cannot read history "), err
+        assert err[0].count(str(bad)) == 1, err
 
 
-def test_plot_data_missing_file_is_exit_5(tmp_path):
-    assert run("plot-data", tmp_path / "absent.jsonl",
-               "--out-dir", tmp_path / "p") == 5
+def test_plot_data_missing_file_is_exit_5(tmp_path, capsys):
+    absent = tmp_path / "absent.jsonl"
+    assert run("plot-data", absent, "--out-dir", tmp_path / "p") == 5
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot read history "), err
+    assert err[0].count(str(absent)) == 1, err
 
 
 def half_score(spec, candidate_id):

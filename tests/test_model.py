@@ -1,7 +1,10 @@
 """Synthetic corpus, masking, training loop, and encoder checks."""
 
 import ctypes
-import resource
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -305,18 +308,30 @@ def test_training_peak_memory_does_not_grow_with_steps():
 @pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"),
                     reason="the C library has no mallopt")
 def test_a_repeated_training_run_and_proxy_pass_fault_no_memory_back_in():
-    config = ModelConfig(num_layers=2, d_model=64, n_heads=4, seq_len=32)
-    corpus = synth_corpus(seed=0, size=128, vocab=config.vocab, seq_len=config.seq_len)
+    # in a fresh interpreter, so no heap layout an earlier test left counts
+    script = textwrap.dedent("""\
+        import resource
+        from opnas.model import (ModelConfig, OptimConfig, build_model, mlm_pretrain,
+                                 proxy_evaluate, synth_corpus)
+        from opnas.search_space import standard_backbone
+        config = ModelConfig(num_layers=2, d_model=64, n_heads=4, seq_len=32)
+        corpus = synth_corpus(seed=0, size=128, vocab=config.vocab, seq_len=config.seq_len)
 
-    def unit():
-        model = build_model(standard_backbone(config.num_layers), config, rng=0)
-        mlm_pretrain(model, corpus, 3, OptimConfig(batch_size=8, warmup=0), rng=0)
-        proxy_evaluate(model, corpus.heldout)
+        def unit():
+            model = build_model(standard_backbone(config.num_layers), config, rng=0)
+            mlm_pretrain(model, corpus, 3, OptimConfig(batch_size=8, warmup=0), rng=0)
+            proxy_evaluate(model, corpus.heldout)
 
-    unit()  # grows the heap to the unit's peak
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    unit()
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        unit()  # grows the heap to the unit's peak
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        unit()
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(M.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    faults = int(done.stdout)
     # freed step graphs and proxy chunks stay in the heap for the next ones;
     # returned to the OS, they fault back in by the thousand
     assert faults < 64, faults

@@ -1,6 +1,7 @@
 """Graph validation, generation, mutation, and serialization checks."""
 
 import hashlib
+import itertools
 import json
 import random
 
@@ -81,6 +82,55 @@ def test_infer_shapes_raises_with_node_index():
     with pytest.raises(S.IllegalGraph) as exc:
         S.infer_shapes(dag)
     assert exc.value.node_index == 0
+
+
+@pytest.mark.parametrize("nodes,reason", [
+    ((S.DagNode("scale", ("q",)), S.DagNode("matmul", (0, "k"))),
+     "node 1: matmul inner symbols differ: ('n', 'dh') x ('n', 'dh')"),
+    ((S.DagNode("transpose", ("k",)), S.DagNode("add", ("q", 0))),
+     "node 1: add needs equal shapes, got ('n', 'dh') and ('dh', 'n')"),
+    ((S.DagNode("transpose", ("k",)), S.DagNode("cosine", (0, "q"))),
+     "node 1: cosine needs equal shapes, got ('dh', 'n') and ('n', 'dh')"),
+])
+def test_shape_rule_refusals_are_worded(nodes, reason):
+    assert S.validate(S.AttentionDag(("q", "k"), nodes)) == (False, reason)
+
+
+def _node_shapes(inputs, nodes):
+    """Each node's shape, or None if some node does not type-check. A
+    trailing neg(input) makes the output n x d_h, so only a bad node fails."""
+    dag = S.AttentionDag(inputs, (*nodes, S.DagNode("neg", (inputs[0],))))
+    try:
+        return S.infer_shapes(dag)[:-1]
+    except S.IllegalGraph:
+        return None
+
+
+def test_legal_arg_tuples_equal_brute_force():
+    seen = set()
+    for seed in range(40):
+        rng = random.Random(seed)
+        inputs = tuple(rng.sample(S.INPUT_NAMES, rng.randint(1, 4)))
+        nodes = []
+        for _ in range(rng.randint(0, 8)):
+            refs = list(inputs) + list(range(len(nodes)))
+            while True:
+                op = rng.choice(S.ALL_OPS)
+                arity = 1 if op in S.UNARY_OPS else 2
+                node = S.DagNode(op, tuple(rng.choice(refs) for _ in range(arity)))
+                if _node_shapes(inputs, nodes + [node]) is not None:
+                    nodes.append(node)
+                    break
+        shapes = dict.fromkeys(inputs, S.SHAPE_ND) | dict(enumerate(_node_shapes(inputs, nodes)))
+        seen.update(shapes.values())
+        refs = list(shapes)
+        rng.shuffle(refs)
+        for op in S.ALL_OPS:
+            arity = 1 if op in S.UNARY_OPS else 2
+            want = [args for args in itertools.product(refs, repeat=arity)
+                    if _node_shapes(inputs, nodes + [S.DagNode(op, args)]) is not None]
+            assert S._legal_arg_tuples(op, refs, shapes) == want, (seed, op)
+    assert seen == {("n", "dh"), ("dh", "n"), ("n", "n"), ("dh", "dh")}
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +458,13 @@ def test_serialized_form_is_stable_json():
     pytest.param(lambda p: p["layers"][1].update(nodes=[
         {"op": "transpose", "args": ["k"]}, {"op": "matmul", "args": ["q", 0]}]),
         "$.layers[1]: node 1: output shape ('n', 'n') is not n x d_h", id="output-shape"),
+    pytest.param(lambda p: p["layers"][1].update(nodes=[{"op": "matmul", "args": ["q", "k"]}]),
+                 "$.layers[1]: node 0: matmul inner symbols differ: ('n', 'dh') x ('n', 'dh')",
+                 id="matmul-inner"),
+    pytest.param(lambda p: p["layers"][1].update(nodes=[
+        {"op": "transpose", "args": ["k"]}, {"op": "add", "args": ["q", 0]}]),
+        "$.layers[1]: node 1: add needs equal shapes, got ('n', 'dh') and ('dh', 'n')",
+        id="add-shapes"),
     pytest.param(lambda p: p["layers"][1].update(inputs=["q", "k", "v"]),
                  "$.layers[1]: declared inputs never referenced: ['v']", id="unused-input"),
     pytest.param(lambda p: p["layers"][3].update(inputs=["q", "k", "v", "k"]),
