@@ -174,7 +174,8 @@ class ProxyScore:
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss went non-finite; the message carries the step and value."""
+    """A step's forward or loss went non-finite; the message names the step
+    and the op."""
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +394,11 @@ def mlm_pretrain(model: Model, corpus: Corpus, steps: int,
     losses[0] reflects the initialization. Each step draws its batch, masks
     the sequences one at a time in draw order, and runs them as one (B, n)
     forward and loss. Linear learning-rate warmup over ``optim.warmup``
-    steps. Non-finite loss raises TrainingDiverged, also with numpy warnings
-    as errors: a step ignores overflow and invalid-value warnings, so the
-    first non-finite op raises ``NonFiniteError``, not ``RuntimeWarning``.
+    steps. The first op of a step's forward or loss that goes non-finite
+    raises ``NonFiniteError``, the loss op included, and that becomes
+    TrainingDiverged ``step N: <op> produced non-finite values``, also with
+    numpy warnings as errors: a step ignores overflow and invalid-value
+    warnings, so no ``RuntimeWarning`` comes first.
     A step's graph (its nodes and the arrays their backward reads) lives
     only through that step, and ``backward`` releases it as it walks; the
     gradients are dropped after the update, so one step's forward never
@@ -419,10 +422,7 @@ def mlm_pretrain(model: Model, corpus: Corpus, steps: int,
                                             np.stack(masks))
             except NonFiniteError as e:
                 raise TrainingDiverged(f"step {step}: {e}") from e
-            value = float(loss.data)
-            if not np.isfinite(value):
-                raise TrainingDiverged(f"step {step}: loss={value}")
-            losses.append(value)
+            losses.append(float(loss.data))
             backward(loss)
             if optim.warmup > 0:
                 opt.lr = optim.lr * min(1.0, (step + 1) / optim.warmup)

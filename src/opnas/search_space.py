@@ -409,9 +409,10 @@ def _node_shapes_env(dag: AttentionDag) -> dict[Ref, Shape]:
     return env
 
 
-def _shift_refs(node: DagNode, at: int) -> DagNode:
-    args = tuple(r + 1 if isinstance(r, int) and r >= at else r for r in node.args)
-    return DagNode(node.op, args)
+def _remap(nodes: Sequence[DagNode], ref: Callable[[Ref], Ref]) -> list[DagNode]:
+    """``nodes`` with every argument ``r`` replaced by ``ref(r)``, called in
+    node-then-argument order, the order input removal draws in."""
+    return [DagNode(node.op, tuple(map(ref, node.args))) for node in nodes]
 
 
 def _mutate_replace(dag, env, dists, rng):
@@ -435,7 +436,7 @@ def _mutate_insert(dag, env, dists, rng, max_len):
     op = _sample(list(table), dists(pos), rng)
     new_node = DagNode(op, rng.choice(table[op]))
     new_shape = _shape_rule(op, [env[r] for r in new_node.args])
-    nodes = [_shift_refs(n, pos) if i >= pos else n for i, n in enumerate(dag.nodes)]
+    nodes = _remap(dag.nodes, lambda r: r + 1 if isinstance(r, int) and r >= pos else r)
     nodes.insert(pos, new_node)
     # rewire one same-shape consumer slot so the new node participates
     slots = []
@@ -459,19 +460,9 @@ def _mutate_delete(dag, env, rng):
         return None
     pos = rng.randrange(len(dag.nodes))
     repl = dag.nodes[pos].args[0]  # a predecessor by construction
-    nodes = []
-    for i, node in enumerate(dag.nodes):
-        if i == pos:
-            continue
-        args = []
-        for r in node.args:
-            if isinstance(r, int):
-                if r == pos:
-                    r = repl
-                elif r > pos:
-                    r = r - 1
-            args.append(r)
-        nodes.append(DagNode(node.op, tuple(args)))
+    nodes = _remap(dag.nodes[:pos] + dag.nodes[pos + 1:],
+                   lambda r: repl if r == pos else
+                   r - 1 if isinstance(r, int) and r > pos else r)
     return AttentionDag(dag.inputs, tuple(nodes))
 
 
@@ -496,10 +487,7 @@ def _mutate_toggle(dag, env, rng):
         nodes[j] = DagNode(nodes[j].op, tuple(args))
         return AttentionDag(inputs, tuple(nodes))
     inputs = tuple(x for x in dag.inputs if x != name)
-    nodes = []
-    for node in dag.nodes:
-        args = tuple(rng.choice(inputs) if r == name else r for r in node.args)
-        nodes.append(DagNode(node.op, args))
+    nodes = _remap(dag.nodes, lambda r: rng.choice(inputs) if r == name else r)
     return AttentionDag(inputs, tuple(nodes))
 
 

@@ -40,7 +40,8 @@ store as it was.
 Checkpoint format: one .npz container holding every weight array under its
 store key, plus a ``__meta__`` JSON string with {version, config,
 layer_versions, keys in declared order}; ``Supernet.load`` refuses any
-other content with ``ValueError``, and ignores the ``rng_state`` entry of
+other content, an array under any other name included, with
+``ValueError``, and ignores the ``rng_state`` field in the ``__meta__`` of
 version-1 files written before it was dropped.
 """
 
@@ -137,7 +138,8 @@ class Supernet:
 
     @classmethod
     def load(cls, path: str | Path) -> "Supernet":
-        """Read what ``save`` wrote; ValueError when the file holds anything else."""
+        """Read what ``save`` wrote; ValueError when the file holds anything
+        else: an array besides ``__meta__`` and the store keys, say."""
         with np.load(path) as data:
             meta = json.loads(str(data["__meta__"]))
             if not isinstance(meta, dict):
@@ -152,6 +154,9 @@ class Supernet:
             shapes = param_shapes(config)
             if meta["keys"] != list(shapes):
                 raise ValueError("keys are not the store layout of its config")
+            stray = sorted(set(data.files) - {"__meta__", *shapes})
+            if stray:
+                raise ValueError(f"array {stray[0]!r} is not a store key")
             store = {key: data[key].copy() for key in shapes}
         for key, shape in shapes.items():
             if store[key].shape != shape:

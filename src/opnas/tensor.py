@@ -13,8 +13,10 @@ independent matrices, layer blocks take (..., n, d), and the loss takes
 
 Every forward op that runs validates that its output is finite; NaN/Inf on
 finite inputs is a bug in the caller's graph and raises ``NonFiniteError``
-immediately instead of propagating garbage. An attention dag runs only its
-live nodes (``search_space.eval_dag``), so a dead node is never checked.
+immediately instead of propagating garbage. ``feed_forward`` checks both of
+its products; its softsign stage maps finite values to finite values, so it
+needs no check of its own. An attention dag runs only its live nodes
+(``search_space.eval_dag``), so a dead node is never checked.
 The check sums the output first: a finite sum proves every element finite,
 and only a non-finite sum (a NaN or infinite element, or finite elements
 whose sum overflows) is followed by the elementwise test that decides.
@@ -525,11 +527,12 @@ def feed_forward(x: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
     """``softsign(x @ w1) @ w2`` as one op: (..., n, d) -> (..., n, m).
 
     The values and gradients are those of ``matmul``, ``softsign`` and
-    ``matmul`` bit for bit, and each stage is checked finite as those ops
-    check it. The graph keeps only ``h = x @ w1`` besides ``x`` and the
-    weights: the backward recomputes softsign's denominator and output
-    from ``h`` with softsign's own expressions, so no (..., n, hidden)
-    activation but ``h`` lives between forward and backward.
+    ``matmul`` bit for bit. Both products are checked finite as ``matmul``
+    checks them; softsign of a finite ``h`` is finite (|s| <= 1), so that
+    stage needs no check. The graph keeps only ``h = x @ w1`` besides ``x``
+    and the weights: the backward recomputes softsign's denominator and
+    output from ``h`` with softsign's own expressions, so no (..., n,
+    hidden) activation but ``h`` lives between forward and backward.
     """
     if x.ndim < 2 or w1.ndim != 2 or w2.ndim != 2:
         raise ShapeError(f"feed_forward requires a rank >= 2 input and rank-2 weights, "
@@ -542,7 +545,6 @@ def feed_forward(x: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
     _check_finite(h, "matmul")
     s = 1.0 + np.abs(h)  # softsign's denominator, then its output in place
     np.divide(h, s, out=s)
-    _check_finite(s, "softsign")
 
     def grad_fn(g):
         denom = 1.0 + np.abs(h)
@@ -694,7 +696,10 @@ def backward(loss: Tensor) -> None:
 
     ``loss`` must be scalar. Gradients add into existing buffers, so one
     optimizer step can aggregate several backward passes; leaves not
-    reachable from ``loss`` are left untouched.
+    reachable from ``loss`` are left untouched. A gradient that reaches a
+    node more than once is summed into a new array each time, in arrival
+    order: a pending gradient may be an array an op returned (add and
+    reshape pass their ``g`` on), and the walk never writes into one.
 
     The walk releases the tape as it goes: once a node's gradient function
     has run it is dropped, with the arrays it saved, so the graph shrinks
@@ -728,10 +733,6 @@ def backward(loss: Tensor) -> None:
             stack.extend((p, False) for p in node.parents if p is not None)
 
     grads: dict[int, np.ndarray] = {id(root): np.ones(())}
-    # nodes whose pending gradient is a sum this walk allocated; any other
-    # pending gradient may be an array an op returned (add and reshape pass
-    # their ``g`` on), which must not be written into
-    owned: set[int] = set()
     for node in reversed(topo):
         g = grads.pop(id(node), None)
         if g is None:
@@ -749,13 +750,7 @@ def backward(loss: Tensor) -> None:
             if pg is None or p is None:
                 continue
             key = id(p)
-            if key in owned:
-                grads[key] += pg
-            elif key in grads:
-                grads[key] = grads[key] + pg
-                owned.add(key)
-            else:
-                grads[key] = pg
+            grads[key] = grads[key] + pg if key in grads else pg
 
 
 # ---------------------------------------------------------------------------

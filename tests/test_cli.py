@@ -184,6 +184,7 @@ MALFORMED_SUPERNETS = {
     "short-layer-versions": lambda meta, store: meta.update(layer_versions=[0]),
     # JSON, but no object; it replaces the __meta__ written from ``meta``
     "meta-not-object": lambda meta, store: store.update(__meta__=np.array("[1, 2]")),
+    "extra-array": lambda meta, store: store.update(junk=np.zeros(3)),
 }
 
 

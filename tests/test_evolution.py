@@ -627,6 +627,18 @@ def test_a_result_that_cannot_come_back_is_a_logged_discard(caplog):
     assert all("cannot pickle" in m for m in discarded), discarded
 
 
+def test_a_serial_result_is_never_pickled(tmp_path, caplog):
+    # at jobs=1 the payload never leaves the process, so nothing checks it
+    cfg = tiny_search_config(population_size=4, max_iterations=3, jobs=1)
+    with caplog.at_level(logging.WARNING, logger="opnas.evolution"):
+        records = search(cfg, unpicklable_payload_fitness, tmp_path)
+    assert not [m for m in caplog.messages if "discarded" in m]
+    # a seed batch of 4, then 3 iterations of k * children_per_parent = 4
+    assert [r.id for r in records] == list(range(4 + 3 * 4))
+    assert all(r.score == 0.5 for r in records)
+    assert read_history(tmp_path / "history.jsonl") == records
+
+
 def _openblas(symbol):
     """``symbol`` of numpy's bundled OpenBLAS, or None where it is missing."""
     for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"):

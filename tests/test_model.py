@@ -469,9 +469,11 @@ def test_training_deterministic(tiny_config, tiny_corpus):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_divergence_is_training_diverged_when_warnings_are_errors(tiny_config, tiny_corpus):
     # the first update overflows every later matmul; that must end in the
-    # documented exception, not numpy's overflow warning
+    # documented exception, raised by an op's own finiteness check (the
+    # loss op's included), not numpy's overflow warning
     model = build_model(standard_backbone(tiny_config.num_layers), tiny_config, rng=1)
-    with pytest.raises(M.TrainingDiverged):
+    with pytest.raises(M.TrainingDiverged,
+                       match=r"^step \d+: \w+ produced non-finite values$"):
         mlm_pretrain(model, tiny_corpus, steps=3,
                      optim=OptimConfig(lr=1e200, batch_size=4, warmup=0))
 

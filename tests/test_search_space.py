@@ -407,6 +407,67 @@ def test_fixed_seed_draws_equal_the_pinned_digest():
     assert digest.hexdigest() == DRAW_PIN
 
 
+class _Scripted(random.Random):
+    """Fixed draws for a worked example: ``randrange`` gives ``pos`` and
+    ``choice`` the first item; ``choices`` stays seeded, and a one-op
+    distribution decides it."""
+
+    def __init__(self, pos):
+        super().__init__(0)
+        self.pos = pos
+
+    def randrange(self, *args):
+        return self.pos
+
+    def choice(self, seq):
+        return seq[0]
+
+
+def test_delete_renumbers_by_worked_example():
+    # scale(q), transpose(k), matmul(0, 1), softmax(2), matmul(3, v) less
+    # node 2: softmax's ref to it becomes its first argument, 0, and the
+    # final matmul's ref 3 shifts down to 2
+    child = S._mutate_delete(S.standard_attention_dag(), None, _Scripted(pos=2))
+    assert child == S.AttentionDag(("q", "k", "v"), (
+        S.DagNode("scale", ("q",)), S.DagNode("transpose", ("k",)),
+        S.DagNode("softmax", (0,)), S.DagNode("matmul", (2, "v"))))
+
+
+def test_insert_renumbers_by_worked_example():
+    # neg(q) goes in at 2: softmax's ref 2 and the final matmul's ref 3 shift
+    # up to 3 and 4, refs 0 and 1 stay, and the new node takes the first
+    # consumer slot of its shape, the old matmul's first argument
+    dag = S.standard_attention_dag()
+    child = S._mutate_insert(dag, S._node_shapes_env(dag), lambda pos: {"neg": 1.0},
+                             _Scripted(pos=2), S.MAX_PATH_LEN)
+    assert child == S.AttentionDag(("q", "k", "v"), (
+        S.DagNode("scale", ("q",)), S.DagNode("transpose", ("k",)),
+        S.DagNode("neg", ("q",)), S.DagNode("matmul", (2, 1)),
+        S.DagNode("softmax", (3,)), S.DagNode("matmul", (4, "v"))))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_input_removal_redraws_refs_in_node_then_argument_order(seed):
+    dag = S.AttentionDag(("q", "k", "v", "p"), (
+        S.DagNode("add", ("v", "q")), S.DagNode("add", ("v", "v")),
+        S.DagNode("add", ("p", 1)), S.DagNode("add", (0, "p")),
+        S.DagNode("add", (3, 2))))
+    rng = random.Random(seed)
+    hand = random.Random()
+    hand.setstate(rng.getstate())
+    child = S._mutate_toggle(dag, S._node_shapes_env(dag), rng)
+    _, name = hand.choice([("remove", "v"), ("remove", "p")])
+    inputs = tuple(x for x in dag.inputs if x != name)
+    nodes = []
+    for node in dag.nodes:
+        args = []
+        for r in node.args:
+            args.append(hand.choice(inputs) if r == name else r)
+        nodes.append(S.DagNode(node.op, tuple(args)))
+    assert child == S.AttentionDag(inputs, tuple(nodes))
+    assert rng.getstate() == hand.getstate()  # no draw more or less
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_mutation_property_legal_everywhere(seed):
