@@ -207,7 +207,7 @@ def _load_supernet(path, model_config: ModelConfig) -> Supernet:
     try:
         supernet = Supernet.load(path)
     # a cut-short file is no zip (BadZipFile), an empty one no npy (EOFError)
-    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as e:
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as e:
         raise CliError(EXIT_CHECKPOINT, f"bad supernet checkpoint: {e}") from None
     if supernet.config != model_config:
         raise CliError(EXIT_CHECKPOINT,

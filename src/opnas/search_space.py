@@ -415,6 +415,13 @@ def _remap(nodes: Sequence[DagNode], ref: Callable[[Ref], Ref]) -> list[DagNode]
     return [DagNode(node.op, tuple(map(ref, node.args))) for node in nodes]
 
 
+def _set_arg(nodes: Sequence[DagNode], slot: tuple[int, int], ref: Ref) -> list[DagNode]:
+    """``nodes`` with argument s of node j set to ``ref``, where ``slot`` is (j, s)."""
+    j, s = slot
+    args = nodes[j].args
+    return [*nodes[:j], DagNode(nodes[j].op, args[:s] + (ref,) + args[s + 1:]), *nodes[j + 1:]]
+
+
 def _mutate_replace(dag, env, dists, rng):
     pos = rng.randrange(len(dag.nodes))
     table = _placeable(list(dag.inputs) + list(range(pos)), env)
@@ -438,24 +445,16 @@ def _mutate_insert(dag, env, dists, rng, max_len):
     new_shape = _shape_rule(op, [env[r] for r in new_node.args])
     nodes = _remap(dag.nodes, lambda r: r + 1 if isinstance(r, int) and r >= pos else r)
     nodes.insert(pos, new_node)
-    # rewire one same-shape consumer slot so the new node participates
-    slots = []
-    for j in range(pos + 1, len(nodes)):
-        for s, r in enumerate(nodes[j].args):
-            if r == pos:
-                continue
-            shape = env[r - 1 if isinstance(r, int) and r > pos else r]
-            if shape == new_shape:
-                slots.append((j, s))
+    # rewire one same-shape consumer slot so the new node participates; the
+    # slots are read on the parent, whose node j >= pos is the child's j + 1
+    slots = [(j + 1, s) for j in range(pos, len(dag.nodes))
+             for s, r in enumerate(dag.nodes[j].args) if env[r] == new_shape]
     if slots:
-        j, s = rng.choice(slots)
-        args = list(nodes[j].args)
-        args[s] = pos
-        nodes[j] = DagNode(nodes[j].op, tuple(args))
+        nodes = _set_arg(nodes, rng.choice(slots), pos)
     return AttentionDag(dag.inputs, tuple(nodes))
 
 
-def _mutate_delete(dag, env, rng):
+def _mutate_delete(dag, rng):
     if len(dag.nodes) < 2:
         return None
     pos = rng.randrange(len(dag.nodes))
@@ -469,23 +468,16 @@ def _mutate_delete(dag, env, rng):
 def _mutate_toggle(dag, env, rng):
     present = [x for x in ("v", "p") if x in dag.inputs]
     absent = [x for x in ("v", "p") if x not in dag.inputs]
+    # v and p are each declared or not, so there are always two actions
     actions = [("add", x) for x in absent] + [("remove", x) for x in present]
-    if not actions:
-        return None
     action, name = rng.choice(actions)
     if action == "add":
         inputs = tuple(x for x in INPUT_NAMES if x in dag.inputs or x == name)
-        # point one n x d_h slot at the new input so it is actually used
+        # point one n x d_h slot at the new input so it is actually used; node
+        # 0 reads only inputs, all n x d_h, so there is always such a slot
         slots = [(j, s) for j, node in enumerate(dag.nodes)
                  for s, r in enumerate(node.args) if env[r] == SHAPE_ND]
-        if not slots:
-            return None
-        j, s = rng.choice(slots)
-        nodes = list(dag.nodes)
-        args = list(nodes[j].args)
-        args[s] = name
-        nodes[j] = DagNode(nodes[j].op, tuple(args))
-        return AttentionDag(inputs, tuple(nodes))
+        return AttentionDag(inputs, tuple(_set_arg(dag.nodes, rng.choice(slots), name)))
     inputs = tuple(x for x in dag.inputs if x != name)
     nodes = _remap(dag.nodes, lambda r: rng.choice(inputs) if r == name else r)
     return AttentionDag(inputs, tuple(nodes))
@@ -507,7 +499,7 @@ def mutate_intra(parent: AttentionDag, dists: DistFn, rng: random.Random,
         elif kind == "insert":
             child = _mutate_insert(parent, env, dists, rng, max_len)
         elif kind == "delete":
-            child = _mutate_delete(parent, env, rng)
+            child = _mutate_delete(parent, rng)
         else:
             child = _mutate_toggle(parent, env, rng)
         if child is not None and child != parent and validate(child, max_len)[0]:
@@ -527,9 +519,8 @@ def mutate_inter(parent: BackboneSpec, kernel_dists: KernelDistFn,
     li = rng.randrange(len(parent.layers))
     layers = list(parent.layers)
     layer = layers[li]
-    if layer.kind == "attention":
-        layers[li] = LayerSpec.conv(_sample(KERNEL_MENU, kernel_dists(li), rng))
-    elif rng.random() < 0.5:
+    # an attention layer draws no coin: the test short-circuits
+    if layer.kind == "conv" and rng.random() < 0.5:
         donors = [l.dag for l in parent.layers if l.kind == "attention"]
         if donors and rng.random() < 0.5:
             layers[li] = LayerSpec.attention(rng.choice(donors))

@@ -39,10 +39,11 @@ store as it was.
 
 Checkpoint format: one .npz container holding every weight array under its
 store key, plus a ``__meta__`` JSON string with {version, config,
-layer_versions, keys in declared order}; ``Supernet.load`` refuses any
-other content, an array under any other name included, with
-``ValueError``, and ignores the ``rng_state`` field in the ``__meta__`` of
-version-1 files written before it was dropped.
+layer_versions, keys in declared order}, every array float64;
+``Supernet.load`` refuses any other content (no .npz archive, a missing
+meta entry, field or array, an array under any other name or of another
+dtype) with ``ValueError``, and ignores the ``rng_state`` field in the
+``__meta__`` of version-1 files written before it was dropped.
 """
 
 from __future__ import annotations
@@ -138,12 +139,15 @@ class Supernet:
 
     @classmethod
     def load(cls, path: str | Path) -> "Supernet":
-        """Read what ``save`` wrote; ValueError when the file holds anything
-        else: an array besides ``__meta__`` and the store keys, say."""
-        with np.load(path) as data:
-            meta = json.loads(str(data["__meta__"]))
-            if not isinstance(meta, dict):
-                raise ValueError(f"__meta__ must be a JSON object, got {type(meta).__name__}")
+        """Read what ``save`` wrote; ValueError on anything else: no .npz
+        archive, a missing meta entry, field or array, or a stray or non-float64 array."""
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("not an .npz archive")
+        with data:
+            meta = json.loads(str(data["__meta__"])) if "__meta__" in data.files else None
+            if not (isinstance(meta, dict) and set(meta) >= {"config", "keys", "layer_versions"}):
+                raise ValueError("__meta__ must be an object with config, keys and layer_versions")
             if meta.get("version") != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported supernet checkpoint version "
                                  f"{meta.get('version')!r}")
@@ -157,10 +161,12 @@ class Supernet:
             stray = sorted(set(data.files) - {"__meta__", *shapes})
             if stray:
                 raise ValueError(f"array {stray[0]!r} is not a store key")
-            store = {key: data[key].copy() for key in shapes}
+            store = {key: data[key].copy() for key in shapes if key in data.files}
         for key, shape in shapes.items():
-            if store[key].shape != shape:
-                raise ValueError(f"{key} has shape {store[key].shape}, expected {shape}")
+            found = store.get(key)
+            if found is None or found.dtype != np.float64 or found.shape != shape:
+                held = "no array" if found is None else f"{found.dtype} {found.shape}"
+                raise ValueError(f"{key} holds {held}, expected float64 {shape}")
         versions = meta["layer_versions"]
         if not (isinstance(versions, list) and len(versions) == config.num_layers
                 and all(type(v) is int and v >= 0 for v in versions)):

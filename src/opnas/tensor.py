@@ -700,6 +700,9 @@ def backward(loss: Tensor) -> None:
     node more than once is summed into a new array each time, in arrival
     order: a pending gradient may be an array an op returned (add and
     reshape pass their ``g`` on), and the walk never writes into one.
+    Every node on the walk has a gradient by its turn: it joins only through
+    a parent link that is not None, reverse post-order runs its consumers
+    first, and every gradient function returns an array for each parent.
 
     The walk releases the tape as it goes: once a node's gradient function
     has run it is dropped, with the arrays it saved, so the graph shrinks
@@ -734,9 +737,7 @@ def backward(loss: Tensor) -> None:
 
     grads: dict[int, np.ndarray] = {id(root): np.ones(())}
     for node in reversed(topo):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
+        g = grads.pop(id(node))
         if isinstance(node, Tensor):
             # leaf: accumulate into the public buffer
             if node.grad is None:
@@ -747,7 +748,7 @@ def backward(loss: Tensor) -> None:
         parent_grads = grad_fn(g)
         del grad_fn, g  # frees what this node saved before the sums below
         for p, pg in zip(node.parents, parent_grads):
-            if pg is None or p is None:
+            if p is None:
                 continue
             key = id(p)
             grads[key] = grads[key] + pg if key in grads else pg

@@ -185,6 +185,11 @@ MALFORMED_SUPERNETS = {
     # JSON, but no object; it replaces the __meta__ written from ``meta``
     "meta-not-object": lambda meta, store: store.update(__meta__=np.array("[1, 2]")),
     "extra-array": lambda meta, store: store.update(junk=np.zeros(3)),
+    "missing-meta-field": lambda meta, store: meta.pop("layer_versions"),
+    "missing-array": lambda meta, store: store.pop("layer0.ffn.w1"),
+    # write-back into an int64 kernel would truncate what it stores
+    "int64-array": lambda meta, store: store.update(
+        {"layer0.conv.kernel": store["layer0.conv.kernel"].astype(np.int64)}),
 }
 
 
@@ -208,6 +213,30 @@ def test_malformed_supernet_is_exit_3(damage, command, tiny_cfg, tmp_path, capsy
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: bad supernet checkpoint: "), err
     assert not (out / "history.jsonl").exists()
+
+
+def test_plain_array_supernet_is_exit_3_and_leaves_config_json(tiny_cfg, tmp_path, capsys):
+    out, ckpt = tmp_path / "run", tmp_path / "sn.npz"
+    out.mkdir()
+    (out / "config.json").write_text("{}")
+    with open(ckpt, "wb") as fh:
+        np.save(fh, np.zeros(3))  # an .npy array, not an .npz archive
+    assert run("search", "--config", tiny_cfg, "--out-dir", out, "--biws", ckpt) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: bad supernet checkpoint: not an .npz archive"]
+    assert (out / "config.json").read_text() == "{}"
+
+
+def test_search_with_no_evaluation_is_exit_5(tiny_cfg, tmp_path, capsys):
+    # every candidate diverges at its first step, and no iteration follows
+    # the initial population, so no batch limit is reached
+    cfg = json.loads(Path(tiny_cfg).read_text())
+    cfg["search"].update(population_size=2, max_iterations=0)
+    cfg["trainer"].update(lr=1e300, warmup=0)
+    bad_cfg = tmp_path / "bad.json"
+    bad_cfg.write_text(json.dumps(cfg))
+    assert run("search", "--config", bad_cfg, "--out-dir", tmp_path / "run") == 5
+    assert capsys.readouterr().err.splitlines()[-1] == "error: search produced no evaluations"
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

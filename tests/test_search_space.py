@@ -427,7 +427,7 @@ def test_delete_renumbers_by_worked_example():
     # scale(q), transpose(k), matmul(0, 1), softmax(2), matmul(3, v) less
     # node 2: softmax's ref to it becomes its first argument, 0, and the
     # final matmul's ref 3 shifts down to 2
-    child = S._mutate_delete(S.standard_attention_dag(), None, _Scripted(pos=2))
+    child = S._mutate_delete(S.standard_attention_dag(), _Scripted(pos=2))
     assert child == S.AttentionDag(("q", "k", "v"), (
         S.DagNode("scale", ("q",)), S.DagNode("transpose", ("k",)),
         S.DagNode("softmax", (0,)), S.DagNode("matmul", (2, "v"))))
@@ -466,6 +466,93 @@ def test_input_removal_redraws_refs_in_node_then_argument_order(seed):
         nodes.append(S.DagNode(node.op, tuple(args)))
     assert child == S.AttentionDag(inputs, tuple(nodes))
     assert rng.getstate() == hand.getstate()  # no draw more or less
+
+
+def test_input_addition_by_worked_example():
+    # the absent input comes first among the actions, so v is added; it takes
+    # the first n x d_h slot, node 0's first argument, and q is still read
+    dag = S.AttentionDag(("q", "k", "p"), (
+        S.DagNode("add", ("q", "p")), S.DagNode("transpose", ("k",)),
+        S.DagNode("matmul", (0, 1)), S.DagNode("matmul", (2, "q"))))
+    child = S._mutate_toggle(dag, S._node_shapes_env(dag), _Scripted(pos=0))
+    assert child == S.AttentionDag(("q", "k", "v", "p"), (
+        S.DagNode("add", ("v", "p")), S.DagNode("transpose", ("k",)),
+        S.DagNode("matmul", (0, 1)), S.DagNode("matmul", (2, "q"))))
+    assert S.validate(child)[0]
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_input_toggle_always_returns_a_dag(seed):
+    # one of v and p can always be added or removed, and node 0 reads only
+    # inputs, so an added input always finds an n x d_h slot
+    r = random.Random(seed)
+    dag = S.random_dag(r)
+    assert isinstance(S._mutate_toggle(dag, S._node_shapes_env(dag), r), S.AttentionDag)
+
+
+class _Coins(random.Random):
+    """A generator seeded 0 whose first ``randrange`` gives ``pos`` and whose
+    first ``random`` draws give ``coins``; the rest come from the seed, and
+    ``draws`` counts the ``random`` calls."""
+
+    def __init__(self, pos, *coins):
+        super().__init__(0)
+        self.pos, self.coins, self.draws = [pos], list(coins), 0
+
+    def randrange(self, *args):
+        return self.pos.pop() if self.pos else super().randrange(*args)
+
+    def random(self):
+        self.draws += 1
+        return self.coins.pop(0) if self.coins else super().random()
+
+    # defined here, it keeps choice and shuffle on the seeded bits: a subclass
+    # that overrides only random makes them draw from random
+    def getrandbits(self, k):
+        return super().getrandbits(k)
+
+
+def _only_15(layer):
+    return {15: 1.0}
+
+
+MIX = S.key_value_mix_attention_dag()
+
+
+def test_inter_attention_to_conv_by_worked_example():
+    # no coin: the only draw is the kernel's
+    parent = S.BackboneSpec((S.LayerSpec.attention(MIX), S.LayerSpec.conv(7)))
+    rng = _Coins(0)
+    child = S.mutate_inter(parent, _only_15, rng)
+    assert child == S.BackboneSpec((S.LayerSpec.conv(15), S.LayerSpec.conv(7)))
+    assert rng.draws == 1
+
+
+def test_inter_conv_to_donor_copy_by_worked_example():
+    parent = S.BackboneSpec((S.LayerSpec.attention(MIX), S.LayerSpec.conv(7)))
+    rng = _Coins(1, 0.0, 0.0)  # flip to attention, then copy a donor
+    child = S.mutate_inter(parent, _only_15, rng)
+    assert child == S.BackboneSpec((S.LayerSpec.attention(MIX),) * 2)
+    assert rng.draws == 2
+
+
+def test_inter_conv_to_fresh_dag_by_worked_example():
+    # flip to attention, then no donor: the dag is random_dag's on the rest
+    # of the stream, which the scripted draws did not advance
+    parent = S.BackboneSpec((S.LayerSpec.attention(MIX), S.LayerSpec.conv(7)))
+    child = S.mutate_inter(parent, _only_15, _Coins(1, 0.0, 0.5))
+    fresh = S.random_dag(random.Random(0))
+    assert fresh != MIX
+    assert child == S.BackboneSpec((S.LayerSpec.attention(MIX), S.LayerSpec.attention(fresh)))
+
+
+def test_inter_conv_to_conv_by_worked_example():
+    parent = S.BackboneSpec((S.LayerSpec.attention(MIX), S.LayerSpec.conv(7)))
+    rng = _Coins(1, 0.5)  # no flip: the kernel is redrawn
+    child = S.mutate_inter(parent, _only_15, rng)
+    assert child == S.BackboneSpec((S.LayerSpec.attention(MIX), S.LayerSpec.conv(15)))
+    assert rng.draws == 2
 
 
 @settings(max_examples=30, deadline=None)

@@ -531,6 +531,14 @@ def test_save_writes_exactly_the_given_path(config, tmp_path):
     assert np.array_equal(loaded.store["layer0.att.q"], sn.store["layer0.att.q"])
 
 
+def test_load_refuses_an_archive_without_meta(config, tmp_path):
+    path = tmp_path / "sn.npz"
+    with open(path, "wb") as fh:
+        np.savez(fh, **init_supernet(config, rng=0).store)
+    with pytest.raises(ValueError, match="__meta__ must be an object"):
+        Supernet.load(path)
+
+
 # ---------------------------------------------------------------------------
 # compatibility with files written under the per-head model layout; see
 # tests/data/README.md
