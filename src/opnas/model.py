@@ -27,7 +27,8 @@ the heldout split under a fixed, content-keyed evaluation mask. Search
 candidates, ``opnas eval`` and ``opnas metrics`` go through
 ``opnas.supernet.BiwsEvaluator``, which pairs ``build_model`` with
 ``mlm_pretrain`` for fresh and supernet-extracted weights alike.
-``init_param`` is the one fresh-weight rule, shared with the supernet.
+``init_param`` is the one fresh-weight rule, shared with the supernet; its
+draws are one more parameter set, which ``build_model`` checks and copies.
 """
 
 from __future__ import annotations
@@ -348,36 +349,31 @@ def init_param(key: str, shape: tuple, rng: np.random.Generator) -> np.ndarray:
 def build_model(spec: BackboneSpec, config: ModelConfig,
                 params: Mapping[str, np.ndarray] | None = None,
                 rng: np.random.Generator | int = 0) -> Model:
-    """Assemble a model from fresh-random weights or a provided parameter set.
+    """Assemble a model from a parameter set, fresh weights by default.
 
-    With ``params`` (e.g. a supernet extraction) arrays are copied in and
-    validated against the spec: every ``param_shapes`` entry, plus a conv
-    layer's ``layer{i}.conv.transform.{k}`` (k x k) when ``params`` holds
+    Without ``params`` the set is drawn with ``init_param`` in ``param_shapes``
+    order; given one (e.g. a supernet extraction) ``rng`` is not read. Either
+    way it is validated and copied in: every ``param_shapes`` entry, plus a
+    conv layer's ``layer{i}.conv.transform.{k}`` (k x k) when the set holds
     one. A missing entry, such as a dag input with no matching projection,
-    is a hard error. Fresh weights come from ``init_param``, drawn in
-    ``param_shapes`` order.
+    is a hard error.
     """
-    if len(spec.layers) != config.num_layers:
-        raise ValueError(f"spec has {len(spec.layers)} layers, config expects "
-                         f"{config.num_layers}")
+    needed = param_shapes(config, spec)
+    if params is None:
+        rng = np.random.default_rng(rng)
+        params = {name: init_param(name, shape, rng) for name, shape in needed.items()}
+    for i, layer in enumerate(spec.layers):
+        transform = f"layer{i}.conv.transform.{layer.kernel}"
+        if layer.kind == "conv" and transform in params:
+            needed[transform] = (layer.kernel, layer.kernel)
     built: dict[str, Tensor] = {}
-    if params is not None:
-        needed = param_shapes(config, spec)
-        for i, layer in enumerate(spec.layers):
-            transform = f"layer{i}.conv.transform.{layer.kernel}"
-            if layer.kind == "conv" and transform in params:
-                needed[transform] = (layer.kernel, layer.kernel)
-        for name, shape in needed.items():
-            if name not in params:
-                raise ValueError(f"missing parameter {name}")
-            arr = np.asarray(params[name], dtype=np.float64)
-            if arr.shape != shape:
-                raise ValueError(f"{name}: shape {arr.shape} != expected {shape}")
-            built[name] = Tensor(arr.copy(), requires_grad=True)
-        return Model(spec, config, built)
-    rng = np.random.default_rng(rng)
-    for name, shape in param_shapes(config, spec).items():
-        built[name] = Tensor(init_param(name, shape, rng), requires_grad=True)
+    for name, shape in needed.items():
+        if name not in params:
+            raise ValueError(f"missing parameter {name}")
+        arr = np.asarray(params[name], dtype=np.float64)
+        if arr.shape != shape:
+            raise ValueError(f"{name}: shape {arr.shape} != expected {shape}")
+        built[name] = Tensor(arr.copy(), requires_grad=True)
     return Model(spec, config, built)
 
 

@@ -87,9 +87,11 @@ MAX_PATH_LEN = 12
 # edits mutate_intra tries before it returns the parent unchanged
 MUTATE_RETRIES = 50
 
-# dags random_dag draws before it gives up; far beyond what the per-attempt
-# acceptance rate needs, so exhaustion means a bug
-DAG_ATTEMPTS = 200
+# dags random_dag draws before it gives up. An attempt is accepted 1.5% of
+# the time at max_len 1, 5.7% at 2, 10% at 3 and 25% at 12 (20,000 attempts
+# each); at max_len 1, 200 attempts ran out for 129 of seeds 0-1999 and
+# 2,000 for none, so exhaustion means a bug
+DAG_ATTEMPTS = 2000
 
 # symbolic shapes: pairs over {"n", "dh"}. Every input is (n, dh), and every
 # shape rule maps pairs to pairs
@@ -740,8 +742,12 @@ def param_shapes(config, spec: BackboneSpec | None = None) -> dict[str, tuple]:
     With ``spec``: the parameters a model of that spec trains. Without: the
     supernet store, where every layer holds both branches at their widest
     (all four projections; the 65-tap kernel plus one k x k transform per
-    smaller kernel size) and all three layer norms. ``config``: a ModelConfig.
+    smaller kernel size) and all three layer norms. ``config``: a ModelConfig
+    of the spec's depth.
     """
+    if spec is not None and len(spec.layers) != config.num_layers:
+        raise ValueError(f"spec has {len(spec.layers)} layers, config expects "
+                         f"{config.num_layers}")
     d = config.d_model
     shapes: dict[str, tuple] = {
         "tok_emb": (config.vocab, d),

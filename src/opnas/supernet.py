@@ -40,16 +40,18 @@ store as it was.
 Checkpoint format: one .npz container holding every weight array under its
 store key, plus a ``__meta__`` JSON string with {version, config,
 layer_versions, keys in declared order}, every array float64;
-``Supernet.load`` refuses any other content (no .npz archive, a missing
-meta entry, field or array, an array under any other name or of another
-dtype) with ``ValueError``, and ignores the ``rng_state`` field in the
-``__meta__`` of version-1 files written before it was dropped.
+``Supernet.load`` refuses any other content (an empty, cut-short or
+corrupted file, no .npz archive, a missing meta entry, field or array, an
+array under any other name or of another dtype) with ``ValueError``, and
+ignores the ``rng_state`` field in the ``__meta__`` of version-1 files
+written before it was dropped.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import zipfile
 from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Mapping
@@ -139,31 +141,37 @@ class Supernet:
 
     @classmethod
     def load(cls, path: str | Path) -> "Supernet":
-        """Read what ``save`` wrote; ValueError on anything else: no .npz
-        archive, a missing meta entry, field or array, or a stray or non-float64 array."""
-        data = np.load(path)
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            raise ValueError("not an .npz archive")
-        with data:
-            meta = json.loads(str(data["__meta__"])) if "__meta__" in data.files else None
-            if not (isinstance(meta, dict) and set(meta) >= {"config", "keys", "layer_versions"}):
-                raise ValueError("__meta__ must be an object with config, keys and layer_versions")
-            if meta.get("version") != CHECKPOINT_VERSION:
-                raise ValueError(f"unsupported supernet checkpoint version "
-                                 f"{meta.get('version')!r}")
-            stored, names = meta["config"], {f.name for f in fields(ModelConfig)}
-            if not isinstance(stored, dict) or set(stored) != names:
-                raise ValueError(f"config {stored!r} does not hold the keys {sorted(names)}")
-            config = ModelConfig(**stored)
-            shapes = param_shapes(config)
-            if meta["keys"] != list(shapes):
-                raise ValueError("keys are not the store layout of its config")
-            stray = sorted(set(data.files) - {"__meta__", *shapes})
-            if stray:
-                raise ValueError(f"array {stray[0]!r} is not a store key")
-            store = {key: data[key].copy() for key in shapes if key in data.files}
+        """Read what ``save`` wrote; ValueError on anything else: an unreadable
+        or no .npz archive, a missing meta entry, field or array, or a stray or
+        non-float64 array."""
+        try:
+            data = np.load(path)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise ValueError("not an .npz archive")
+            with data:
+                arrays = {name: data[name] for name in data.files}
+        # an empty file is no npy (EOFError), a cut-short one no zip and a
+        # corrupted member fails its CRC (BadZipFile)
+        except (EOFError, zipfile.BadZipFile) as e:
+            raise ValueError(f"unreadable archive: {e}") from None
+        meta = json.loads(str(arrays.pop("__meta__"))) if "__meta__" in arrays else None
+        if not (isinstance(meta, dict) and set(meta) >= {"config", "keys", "layer_versions"}):
+            raise ValueError("__meta__ must be an object with config, keys and layer_versions")
+        if meta.get("version") != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported supernet checkpoint version "
+                             f"{meta.get('version')!r}")
+        stored, names = meta["config"], {f.name for f in fields(ModelConfig)}
+        if not isinstance(stored, dict) or set(stored) != names:
+            raise ValueError(f"config {stored!r} does not hold the keys {sorted(names)}")
+        config = ModelConfig(**stored)
+        shapes = param_shapes(config)
+        if meta["keys"] != list(shapes):
+            raise ValueError("keys are not the store layout of its config")
+        stray = sorted(set(arrays) - set(shapes))
+        if stray:
+            raise ValueError(f"array {stray[0]!r} is not a store key")
         for key, shape in shapes.items():
-            found = store.get(key)
+            found = arrays.get(key)
             if found is None or found.dtype != np.float64 or found.shape != shape:
                 held = "no array" if found is None else f"{found.dtype} {found.shape}"
                 raise ValueError(f"{key} holds {held}, expected float64 {shape}")
@@ -172,7 +180,7 @@ class Supernet:
                 and all(type(v) is int and v >= 0 for v in versions)):
             raise ValueError(f"layer_versions must be {config.num_layers} ints >= 0, "
                              f"got {versions!r}")
-        return cls(config, store, versions)
+        return cls(config, {key: arrays[key] for key in shapes}, versions)
 
 
 def init_supernet(config: ModelConfig, rng: np.random.Generator | int = 0) -> Supernet:
@@ -195,9 +203,6 @@ def init_candidate(sn: Supernet, spec: BackboneSpec) -> dict[str, np.ndarray]:
     store's k x k transform, whose product is the effective kernel, so the
     transform keeps training with the candidate and is written back with it.
     """
-    if len(spec.layers) != sn.config.num_layers:
-        raise ValueError(f"spec has {len(spec.layers)} layers, supernet expects "
-                         f"{sn.config.num_layers}")
     params: dict[str, np.ndarray] = {}
     for name, shape in param_shapes(sn.config, spec).items():
         k = shape[0]
@@ -283,22 +288,18 @@ class BiwsEvaluator:
         weights (from scratch only) and then the training batches and masks.
         """
         rng = np.random.default_rng([self.seed, candidate_id])
-        if self.supernet is None:
-            model = build_model(spec, self.config, rng=rng)
-        else:
-            model = build_model(spec, self.config,
-                                params=init_candidate(self.supernet, spec))
+        params = None if self.supernet is None else init_candidate(self.supernet, spec)
+        model = build_model(spec, self.config, params=params, rng=rng)
         mlm_pretrain(model, self.corpus, self.steps, self.optim, rng)
         return model
 
     def __call__(self, spec: BackboneSpec, candidate_id: int) -> EvalResult:
         model = self.train(spec, candidate_id)
         score = proxy_evaluate(model, self.corpus.heldout)
-        if self.supernet is None:
-            return EvalResult(score.value)
         # the model is dropped on return, so its arrays need no copy
-        return EvalResult(score.value,
-                          payload={name: p.data for name, p in model.params.items()})
+        payload = None if self.supernet is None else {
+            name: p.data for name, p in model.params.items()}
+        return EvalResult(score.value, payload)
 
     def on_iteration_end(self, iteration: int, best) -> None:
         """Write back ``best``, the iteration's [(record, payload)] or []."""

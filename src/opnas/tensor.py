@@ -150,10 +150,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def __repr__(self) -> str:
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}{flag})"
-
     def item(self) -> float:
         return float(self.data)
 

@@ -156,13 +156,22 @@ def test_search_biws_resume_without_supernet_is_exit_3(tiny_cfg, tmp_path, capsy
     assert (out / "history.jsonl").read_bytes() == history
 
 
-@pytest.mark.parametrize("keep", [3000, 0], ids=["truncated", "empty"])
+def _flip_kernel_bytes(raw: bytes, sn: Supernet) -> bytes:
+    # the archive stores each array's bytes as they are
+    at = raw.index(sn.store["layer0.conv.kernel"].tobytes())
+    return raw[:at] + bytes(b ^ 0xFF for b in raw[at:at + 64]) + raw[at + 64:]
+
+
+@pytest.mark.parametrize("damage", [lambda raw, sn: raw[:3000], lambda raw, sn: b"",
+                                    _flip_kernel_bytes],
+                         ids=["truncated", "empty", "corrupt"])
 @pytest.mark.parametrize("command", ["search", "eval"])
-def test_cut_short_supernet_is_exit_3(command, keep, tiny_cfg, tmp_path, capsys):
+def test_cut_short_supernet_is_exit_3(command, damage, tiny_cfg, tmp_path, capsys):
     cfg = json.loads(Path(tiny_cfg).read_text())
     ckpt = tmp_path / "sn.npz"
-    init_supernet(ModelConfig(**cfg["model"]), 0).save(ckpt)
-    cut = ckpt.read_bytes()[:keep]
+    sn = init_supernet(ModelConfig(**cfg["model"]), 0)
+    sn.save(ckpt)
+    cut = damage(ckpt.read_bytes(), sn)
     ckpt.write_bytes(cut)
     if command == "eval":
         spec_path = tmp_path / "std.json"

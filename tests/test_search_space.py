@@ -303,6 +303,13 @@ def test_random_dag_deterministic():
     assert a == b
 
 
+def test_random_dag_finds_a_dag_at_max_len_1():
+    # about 1.5% of attempts are accepted there, so 200 attempts ran out
+    for seed in range(200):
+        dag = S.random_dag(random.Random(seed), 1)
+        assert S.validate(dag, 1)[0], seed
+
+
 def test_generation_exhausted_raises(monkeypatch):
     monkeypatch.setattr(S, "DAG_ATTEMPTS", 0)
     with pytest.raises(S.GenerationExhausted):
@@ -321,6 +328,14 @@ def test_mutations_stay_legal():
         ok, reason = S.validate(child)
         assert ok, reason
         parent = child
+
+
+def test_mutation_returns_the_parent_when_no_edit_is_valid():
+    # at max_len 1 no edit of add(q, k) gives another valid dag
+    parent = S.AttentionDag(("q", "k"), (S.DagNode("add", ("q", "k")),))
+    r = random.Random(0)
+    for _ in range(20):
+        assert S.mutate_intra(parent, S.uniform_op_distribution, r, max_len=1) is parent
 
 
 def test_mutation_usually_changes_the_dag():

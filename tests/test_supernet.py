@@ -18,6 +18,7 @@ from opnas.search_space import (
     DagNode,
     LayerSpec,
     autobert_zero_backbone,
+    param_shapes,
     softplus_key_attention_dag,
     standard_backbone,
 )
@@ -313,6 +314,22 @@ def test_init_candidate_rejects_depth_mismatch(sn):
         init_candidate(sn, standard_backbone(2))
 
 
+# every way to read the parameter table of a spec, each refusing another depth
+SPEC_READERS = {
+    "param_shapes": lambda sn, spec: param_shapes(sn.config, spec),
+    "fresh-build": lambda sn, spec: build_model(spec, sn.config),
+    "build-with-params": lambda sn, spec: build_model(spec, sn.config, params=sn.store),
+    "init_candidate": init_candidate,
+}
+
+
+@pytest.mark.parametrize("depth", [3, 5], ids=["shorter", "longer"])
+@pytest.mark.parametrize("reader", SPEC_READERS)
+def test_a_spec_of_another_depth_is_refused(reader, depth, sn):
+    with pytest.raises(ValueError, match=f"spec has {depth} layers, config expects 4"):
+        SPEC_READERS[reader](sn, standard_backbone(depth))
+
+
 # ---------------------------------------------------------------------------
 # evaluator and best-child write-back
 
@@ -529,6 +546,28 @@ def test_save_writes_exactly_the_given_path(config, tmp_path):
     loaded = Supernet.load(path)
     assert loaded.versions == sn.versions
     assert np.array_equal(loaded.store["layer0.att.q"], sn.store["layer0.att.q"])
+
+
+def _flip_kernel_bytes(raw: bytes, sn: Supernet) -> bytes:
+    # the archive stores each array's bytes as they are
+    at = raw.index(sn.store["layer0.conv.kernel"].tobytes())
+    return raw[:at] + bytes(b ^ 0xFF for b in raw[at:at + 64]) + raw[at + 64:]
+
+
+UNREADABLE = {
+    "empty": lambda raw, sn: b"",
+    "truncated": lambda raw, sn: raw[:3000],
+    "corrupt": _flip_kernel_bytes,
+}
+
+
+@pytest.mark.parametrize("damage", UNREADABLE)
+def test_load_refuses_an_unreadable_file(damage, sn, tmp_path):
+    path = tmp_path / "sn.npz"
+    sn.save(path)
+    path.write_bytes(UNREADABLE[damage](path.read_bytes(), sn))
+    with pytest.raises(ValueError, match="unreadable archive"):
+        Supernet.load(path)
 
 
 def test_load_refuses_an_archive_without_meta(config, tmp_path):
